@@ -32,7 +32,7 @@ _KRAUS_TERM_FLOOR = 1e-16
 class LossParameter:
     """Loss angle phi with its equivalent views.
 
-    The domain is the closed interval [phi_min, pi/2 - phi_min]; the guard
+    The domain is the closed interval [phi_min, pi/2 - phi_min]; the margin
     keeps tan(phi) and the Kraus factors finite at both ends.
     """
 
@@ -86,7 +86,8 @@ def loss_reparametrize(value: float, source: str, target: str) -> float:
     elif source == "gamma_t":
         if value <= 0.0:
             raise DomainError("gamma_t must be positive")
-        phi = math.atan(math.sqrt(math.expm1(value)))
+        # tan(phi)^2 = e^g - 1 = 2 e^{g/2} sinh(g/2), free of cancellation at small g
+        phi = math.atan(math.sqrt(2.0 * math.exp(0.5 * value) * math.sinh(0.5 * value)))
     elif source == "z":
         if value <= 0.0:
             raise DomainError("z must be positive")
@@ -104,8 +105,8 @@ def loss_reparametrize(value: float, source: str, target: str) -> float:
     return math.cos(phi) ** 2
 
 
-def _phi_value(phi) -> float:
-    return phi.phi if isinstance(phi, LossParameter) else float(phi)
+def _as_loss(phi) -> LossParameter:
+    return phi if isinstance(phi, LossParameter) else LossParameter(float(phi))
 
 
 def kraus_operators(phi, dim: int) -> list[np.ndarray]:
@@ -116,7 +117,7 @@ def kraus_operators(phi, dim: int) -> list[np.ndarray]:
     """
     if dim < 1:
         raise DomainError("dimension must be a positive integer")
-    p = _phi_value(phi)
+    p = _as_loss(phi).phi
     s, c = math.sin(p), math.cos(p)
     levels = np.arange(dim)
     ops = []
@@ -143,7 +144,7 @@ def evolve_pure(psi, phi) -> DensityOperator:
     """
     amps = amplitudes_of(psi)
     d = amps.size
-    p = _phi_value(phi)
+    p = _as_loss(phi).phi
     s, c = math.sin(p), math.cos(p)
     cpow = c ** np.arange(d)
     sq = np.sqrt(np.arange(1, d))
@@ -172,7 +173,7 @@ def evolve(rho, phi) -> DensityOperator:
     if arr.ndim == 1:
         return evolve_pure(arr, phi)
     d = arr.shape[0]
-    p = _phi_value(phi)
+    p = _as_loss(phi).phi
     s2 = math.sin(p) ** 2
     logc = math.log(math.cos(p))
     log_s2 = math.log(s2) if s2 > 0 else -math.inf
@@ -206,5 +207,5 @@ def drho_dphi(rho_phi, phi) -> np.ndarray:
     lowered = np.zeros_like(m)
     if d > 1:
         lowered[:-1, :-1] = m[1:, 1:] * np.sqrt(np.outer(levels[1:], levels[1:]))
-    p = _phi_value(phi)
+    p = _as_loss(phi).phi
     return math.tan(p) * (2.0 * lowered - levels[:, None] * m - m * levels[None, :])

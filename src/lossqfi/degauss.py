@@ -12,13 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.sparse import diags
-from scipy.sparse.linalg import expm_multiply
 
-from .errors import CutoffOverflowError, DegenerateStateError, DomainError
-from .fock import (CutoffPolicy, FockVector, _smallest_cutoff, _window_guess,
-                   amplitudes_of, displaced_squeezed_vacuum)
+from .errors import DegenerateStateError, DomainError
+from .fock import (CutoffPolicy, FockVector, _gaussian_amplitudes, _smallest_cutoff,
+                   amplitudes_of)
 from .probes import qutrit_coords
 
 __all__ = [
@@ -113,8 +110,9 @@ def region_map(eta_grid=None, r_grid=None,
 
     For every lattice point: build D(eta) S(r) |0>, subtract one photon,
     keep three levels, and read off the qutrit coordinates. Points with
-    nbar > 1 are dropped; degenerate points (the vacuum at eta = r = 0) are
-    skipped and counted, never fatal.
+    nbar > 1 are dropped; degenerate points (the vacuum at eta = r = 0) and
+    points that need more levels than the cap are skipped and counted, never
+    fatal.
     """
     if eta_grid is None and r_grid is None:
         eta_grid, r_grid = default_region_grids()
@@ -127,13 +125,17 @@ def region_map(eta_grid=None, r_grid=None,
     policy = policy or CutoffPolicy()
     records = []
     skipped = 0
-    for eta, amps in _batched_states(eta_grid, r_grid, policy):
-        for r, vec in amps:
+    for eta in eta_grid:
+        # one recurrence over the whole r grid, then a cutoff per state
+        amps = _gaussian_amplitudes(eta, r_grid, 0.0, policy.cap)
+        for r, vec, cut in zip(r_grid, amps, _smallest_cutoff(amps, policy)):
+            if cut == 0:
+                skipped += 1
+                continue
             try:
-                state = photon_subtract(vec) if vec is not None else photon_subtract(
-                    displaced_squeezed_vacuum(eta, r, 0.0, policy=policy))
+                state = photon_subtract(FockVector(vec[:cut]))
                 nbar, beta = qutrit_coords(truncate_levels(state, 3))
-            except (DegenerateStateError, DomainError, CutoffOverflowError):
+            except (DegenerateStateError, DomainError):
                 skipped += 1
                 continue
             if nbar <= 1.0:
@@ -141,43 +143,6 @@ def region_map(eta_grid=None, r_grid=None,
     points = np.array(records, dtype=[("eta", float), ("r", float),
                                       ("nbar", float), ("beta", float)])
     return RegionMap(points=points, eta_grid=eta_grid, r_grid=r_grid, skipped=skipped)
-
-
-def _batched_states(eta_grid, r_grid, policy):
-    """Lattice states built on one shared window: squeezed-vacuum vectors are
-    cached per r and a single dense displacement propagator serves each eta.
-
-    Yields (eta, [(r, FockVector or None), ...]); a None entry means the
-    shared window was insufficient for that pair and the caller should fall
-    back to the adaptive single-state constructor.
-    """
-    window = _window_guess(float(np.max(eta_grid)), float(np.max(np.abs(r_grid))),
-                           policy) + policy.guard
-    off = np.sqrt(np.arange(1.0, window))
-    a = diags([off], [1], shape=(window, window), format="csr", dtype=complex)
-    ad = a.conj().T.tocsr()
-    aa = (a @ a).tocsr()
-    adad = (ad @ ad).tocsr()
-    origin = np.zeros(window, dtype=complex)
-    origin[0] = 1.0
-    squeezed = []
-    for r in r_grid:
-        if r == 0.0:
-            squeezed.append((r, origin))
-        else:
-            squeezed.append((r, expm_multiply(0.5 * r * (aa - adad), origin)))
-    usable = window - policy.guard
-    for eta in eta_grid:
-        if eta == 0.0:
-            propagator = None
-        else:
-            propagator = expm(eta * (ad - a).toarray())
-        column = []
-        for r, base in squeezed:
-            vec = base if propagator is None else propagator @ base
-            cut = _smallest_cutoff(vec, usable, policy)
-            column.append((r, FockVector(vec[:cut]) if cut is not None else None))
-        yield eta, column
 
 
 def coverage_check(phi_list, nbar_grid, region: RegionMap,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LossParameter, drho_dphi, evolve
+from .channel import LossParameter, _as_loss, drho_dphi, evolve
 from .errors import DomainError
 from .fock import (CutoffPolicy, Spectrum, hermitian_eig, matrix_of,
                    mean_photon)
@@ -60,10 +60,6 @@ class EstimationReport:
         if self.qfi < 0 or self.qfi > self.ultimate_bound * (1.0 + BOUND_SLACK):
             raise DomainError(
                 f"QFI {self.qfi} violates the energy bound {self.ultimate_bound}")
-
-
-def _as_loss(phi) -> LossParameter:
-    return phi if isinstance(phi, LossParameter) else LossParameter(float(phi))
 
 
 def _eig_frame(rho_matrix, drho):

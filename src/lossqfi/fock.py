@@ -1,9 +1,11 @@
 """Truncated single-mode Fock space: ladder operators, state constructors,
 Hermitian eigendecompositions, overlaps and photon statistics.
 
-All states live in the number basis |0>, ..., |D-1>. Construction routines
-either take an explicit dimension or pick the smallest one whose neglected
-tail population stays below a :class:`CutoffPolicy` tolerance.
+All states live in the number basis |0>, ..., |D-1>. Coherent and displaced
+squeezed states are built from closed forms of their amplitudes; without an
+explicit dimension, the cutoff is the smallest one whose neglected
+population, measured against the exact unit norm, stays below a
+:class:`CutoffPolicy` tolerance.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import diags
-from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln
 
 from .errors import CutoffOverflowError, DegenerateStateError, DomainError
@@ -33,15 +33,12 @@ TRACE_TOL = 1e-10
 class CutoffPolicy:
     """How truncation dimensions are chosen for continuous-variable states.
 
-    ``tail_tol`` bounds the neglected population, ``cap`` is the largest
-    dimension the policy will accept, and ``guard`` extra levels are kept
-    above the working cutoff while exponentiating generators so that the
-    retained amplitudes are unaffected by the truncation edge.
+    ``tail_tol`` bounds the neglected population and ``cap`` is the largest
+    dimension the policy will accept.
     """
 
     tail_tol: float = 1e-10
     cap: int = 200
-    guard: int = 10
 
 
 def _freeze(arr):
@@ -67,13 +64,6 @@ class FockVector:
     @property
     def dim(self) -> int:
         return self.amplitudes.size
-
-    def padded(self, dim: int) -> "FockVector":
-        if dim <= self.dim:
-            return self
-        out = np.zeros(dim, dtype=complex)
-        out[: self.dim] = self.amplitudes
-        return FockVector(out)
 
     def density(self) -> "DensityOperator":
         return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
@@ -102,13 +92,6 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def padded(self, dim: int) -> "DensityOperator":
-        if dim <= self.dim:
-            return self
-        out = np.zeros((dim, dim), dtype=complex)
-        out[: self.dim, : self.dim] = self.matrix
-        return DensityOperator(out)
 
 
 @dataclass(frozen=True)
@@ -211,63 +194,50 @@ def _coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
 def coherent_state(alpha: complex, dim: int | None = None,
                    policy: CutoffPolicy | None = None) -> FockVector:
     """Coherent state |alpha> using the closed-form number-basis expansion."""
-    policy = policy or CutoffPolicy()
     if dim is not None:
         return FockVector(_coherent_amplitudes(alpha, dim))
-    amps = _coherent_amplitudes(alpha, policy.cap + policy.guard)
-    cut = _smallest_cutoff(amps, policy.cap, policy)
-    if cut is None:
+    policy = policy or CutoffPolicy()
+    return _cut(_coherent_amplitudes(alpha, policy.cap), policy)
+
+
+def _smallest_cutoff(amps: np.ndarray, policy: CutoffPolicy) -> np.ndarray:
+    """Smallest D <= cap whose neglected population is below tail_tol.
+
+    Works along the last axis of exact, unit-norm amplitudes, so the tail
+    beyond D is 1 - sum_{n<D} |c_n|^2 and needs no levels above the cap.
+    Returns 0 where no D <= cap qualifies.
+    """
+    tail = 1.0 - np.cumsum(np.abs(amps[..., :policy.cap]) ** 2, axis=-1)
+    ok = tail < policy.tail_tol
+    return np.where(ok.any(axis=-1), ok.argmax(axis=-1) + 1, 0)
+
+
+def _cut(amps: np.ndarray, policy: CutoffPolicy) -> FockVector:
+    """The state truncated at :func:`_smallest_cutoff`; raises past the cap."""
+    cut = int(_smallest_cutoff(amps, policy))
+    if cut == 0:
         raise CutoffOverflowError(
-            f"tail tolerance {policy.tail_tol} not reachable under cap {policy.cap}")
+            f"the state needs more than {policy.cap} levels to keep its neglected "
+            f"population below {policy.tail_tol}; raise --cutoff-cap")
     return FockVector(amps[:cut])
 
 
-def _smallest_cutoff(amps: np.ndarray, usable: int, policy: CutoffPolicy) -> int | None:
-    """Smallest D <= min(usable, cap) whose neglected population is below tail_tol.
+def _gaussian_amplitudes(eta: complex, r, theta_rel: float, levels: int) -> np.ndarray:
+    """Amplitudes <n|D(eta) S(r e^{i theta_rel})|0> for n < levels.
 
-    Only the first ``usable`` levels of the constructed window are trusted;
-    the population beyond a candidate cutoff counts against the full norm.
-    Returns None when no trustworthy cutoff exists at this window size.
+    Yuen's exact three-term recurrence (Yuen, PRA 13, 2226 (1976)) with
+    t = e^{i theta_rel} tanh r and gamma = eta + eta* t:
+    c_0 = exp(-|eta|^2/2 - eta*^2 t/2) / sqrt(cosh r),
+    c_{n+1} = (gamma c_n - t sqrt(n) c_{n-1}) / sqrt(n+1).
+    ``r`` may be an array; the level index is then the last axis.
     """
-    pop = np.abs(amps) ** 2
-    tail = float(pop.sum()) - np.cumsum(pop)
-    limit = min(usable, policy.cap)
-    ok = np.nonzero(tail[:limit] < policy.tail_tol)[0]
-    if ok.size == 0:
-        return None
-    return int(ok[0]) + 1
-
-
-def _squeeze_then_displace(eta: complex, xi: complex, dim: int) -> np.ndarray:
-    """Amplitudes of D(eta) S(xi) |0> on a dim-level space.
-
-    Both unitaries are applied by exponentiating the truncated generators,
-    S(xi) = exp[(xi* a^2 - xi a+^2)/2] and D(eta) = exp[eta a+ - eta* a].
-    """
-    offd = np.sqrt(np.arange(1, dim))
-    a = diags([offd], [1], shape=(dim, dim), format="csr", dtype=complex)
-    ad = a.conj().T.tocsr()
-    v = np.zeros(dim, dtype=complex)
-    v[0] = 1.0
-    if xi != 0:
-        v = expm_multiply(0.5 * (np.conj(xi) * (a @ a) - xi * (ad @ ad)), v)
-    if eta != 0:
-        v = expm_multiply(eta * ad - np.conj(eta) * a, v)
-    return v
-
-
-def _window_guess(eta: complex, r: float, policy: CutoffPolicy) -> int:
-    """Initial working cutoff for D(eta) S(r) |0> from the tail asymptotics.
-
-    Squeezed-vacuum populations decay geometrically with ratio tanh(r)^2 per
-    photon pair; displacement adds a Poissonian spread around |eta|^2.
-    """
-    levels = 8.0
-    t2 = math.tanh(abs(r)) ** 2
-    if t2 > 1e-12:
-        levels += 2.0 * math.log(policy.tail_tol) / math.log(t2)
-    levels += abs(eta) ** 2 + 9.0 * math.sqrt(abs(eta) ** 2 + 1.0)
-    return int(min(max(16.0, levels), policy.cap))
+    t = np.exp(1j * theta_rel) * np.tanh(r)
+    gamma = eta + np.conj(eta) * t
+    c = [np.exp(-0.5 * abs(eta) ** 2 - 0.5 * np.conj(eta) ** 2 * t) / np.sqrt(np.cosh(r))]
+    c.append(gamma * c[0])
+    for n in range(1, levels - 1):
+        c.append((gamma * c[n] - t * math.sqrt(n) * c[n - 1]) / math.sqrt(n + 1))
+    return np.moveaxis(np.array(c[:levels], dtype=complex), 0, -1)
 
 
 def displaced_squeezed_vacuum(eta: complex, r: float, theta_rel: float = 0.0,
@@ -276,27 +246,16 @@ def displaced_squeezed_vacuum(eta: complex, r: float, theta_rel: float = 0.0,
     """Displaced squeezed vacuum D(eta) S(r e^{i theta_rel}) |0>.
 
     The mean photon number is |eta|^2 + sinh(r)^2. With an explicit ``dim``
-    the state is built at that dimension; otherwise the policy selects the
-    smallest cutoff meeting its tail tolerance, growing the construction
-    window as needed and raising CutoffOverflowError if the cap is too low.
+    the state is truncated at that dimension; otherwise the policy selects
+    the smallest cutoff meeting its tail tolerance and raises
+    CutoffOverflowError if the cap is too low.
     """
-    policy = policy or CutoffPolicy()
-    xi = r * np.exp(1j * theta_rel)
     if dim is not None:
         if dim < 1:
             raise DomainError("dimension must be a positive integer")
-        amps = _squeeze_then_displace(eta, xi, dim + policy.guard)[:dim]
-        return FockVector(amps)
-    trial = _window_guess(eta, r, policy)
-    while True:
-        amps = _squeeze_then_displace(eta, xi, trial + policy.guard)
-        cut = _smallest_cutoff(amps, trial, policy)
-        if cut is not None:
-            return FockVector(amps[:cut])
-        if trial >= policy.cap:
-            raise CutoffOverflowError(
-                f"tail tolerance {policy.tail_tol} not reachable under cap {policy.cap}")
-        trial = min(2 * trial, policy.cap)
+        return FockVector(_gaussian_amplitudes(eta, r, theta_rel, dim))
+    policy = policy or CutoffPolicy()
+    return _cut(_gaussian_amplitudes(eta, r, theta_rel, policy.cap), policy)
 
 
 def _match_dims(x, y):

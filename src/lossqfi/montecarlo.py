@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LossParameter
+from .channel import _as_loss
 from .errors import DomainError
 
 __all__ = ["ExperimentReport", "simulate_fock_estimation"]
@@ -61,11 +61,11 @@ def simulate_fock_estimation(n: int, phi, runs: int, repetitions: int,
         raise DomainError(f"need at least {MIN_RUNS} runs per experiment")
     if repetitions < MIN_REPETITIONS:
         raise DomainError(f"need at least {MIN_REPETITIONS} repetitions")
-    loss = phi if isinstance(phi, LossParameter) else LossParameter(float(phi))
+    loss = _as_loss(phi)
     margin = 10.0 / math.sqrt(4.0 * n * runs)
     if not (loss.phi_min + margin <= loss.phi <= math.pi / 2 - loss.phi_min - margin):
         raise DomainError(
-            f"phi={loss.phi} too close to the domain guard for unbiased clipping "
+            f"phi={loss.phi} too close to the domain edge for unbiased clipping "
             f"(margin {margin:.4g})")
     p_survive = math.cos(loss.phi) ** 2
     total_trials = n * runs

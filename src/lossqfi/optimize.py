@@ -10,17 +10,17 @@ so no penalty terms are involved.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from .channel import LossParameter
+from .channel import LossParameter, _as_loss
 from .errors import DomainError
 from .estimation import qfi_of_state
 from .fock import CutoffPolicy, displaced_squeezed_vacuum, mean_photon
+from .montecarlo import _rep_rng
 from .probes import (Cat, Gaussian, ProbeSpec, Qutrit, Superposition,
                      build_probe, cat_alpha_for_energy)
 
@@ -55,10 +55,6 @@ class OptimizationResult:
     def __post_init__(self):
         if self.best_qfi > 4.0 * self.nbar * (1.0 + 1e-6):
             raise DomainError("optimized QFI exceeds the energy bound")
-
-
-def _as_loss(phi) -> LossParameter:
-    return phi if isinstance(phi, LossParameter) else LossParameter(float(phi))
 
 
 def evaluate_result(result: OptimizationResult,
@@ -245,8 +241,7 @@ def optimize_superposition(kmax: int, nbar: float, phi, seed: int = 0,
 
     initial = _warm_starts(kmax, nbar, loss, policy)
     for restart in range(max(starts - len(initial), 0)):
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy=seed, spawn_key=(restart,))))
+        rng = _rep_rng(seed, restart)
         initial.append(np.concatenate([
             rng.uniform(0.15, math.pi / 2 - 0.15, size=kmax),
             rng.uniform(0.0, 2.0 * math.pi, size=kmax),
@@ -280,19 +275,11 @@ def optimize_superposition(kmax: int, nbar: float, phi, seed: int = 0,
 # displaced squeezed vacuum
 
 
-@functools.lru_cache(maxsize=8192)
-def _gauss_probe_cached(eta: float, r: float, theta: float, tail_tol: float,
-                        cap: int, guard: int):
-    policy = CutoffPolicy(tail_tol=tail_tol, cap=cap, guard=guard)
-    return displaced_squeezed_vacuum(eta, r, theta, policy=policy)
-
-
 def _gauss_state(nbar: float, x: float, theta: float, policy: CutoffPolicy):
     x = min(max(x, 0.0), 1.0)
     r = math.asinh(math.sqrt(x * nbar))
     eta = math.sqrt(max((1.0 - x) * nbar, 0.0))
-    return _gauss_probe_cached(eta, r, theta % (2.0 * math.pi),
-                               policy.tail_tol, policy.cap, policy.guard)
+    return displaced_squeezed_vacuum(eta, r, theta, policy=policy)
 
 
 def optimize_gaussian(nbar: float, phi,
@@ -301,8 +288,7 @@ def optimize_gaussian(nbar: float, phi,
 
     Splits the energy as sinh(r)^2 = x nbar, |eta|^2 = (1-x) nbar and scans
     (x, theta_rel) on a 41 x 17 grid before refining with Nelder-Mead inside
-    the box. Probe construction is cached across calls, so sweeping phi at
-    fixed energy reuses the grid states.
+    the box.
     """
     if nbar <= 0:
         raise DomainError("energy must be positive")

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from lossqfi import (CutoffOverflowError, CutoffPolicy, DomainError,
-                     FockVector, coherent_state, displaced_squeezed_vacuum,
-                     fidelity, fock_state, hermitian_eig, ladder_operators,
-                     mean_photon)
+                     FockVector, Gaussian, build_probe, coherent_state,
+                     displaced_squeezed_vacuum, fidelity, fock_state,
+                     hermitian_eig, ladder_operators, mean_photon)
 from lossqfi.errors import DegenerateStateError
 
 
@@ -115,9 +116,44 @@ class TestDisplacedSqueezedVacuum:
         tail = float(np.sum(np.abs(big.amplitudes[state.dim:]) ** 2))
         assert tail < policy.tail_tol
 
+    @pytest.mark.parametrize("eta, r, theta", [
+        (0.7 - 0.4j, -0.8, 1.9),
+        (-0.9 + 0.9j, 1.0, -2.5),
+        (1.3, -1.0, 0.6),
+        (0.2j, 0.3, 3.0),
+    ])
+    def test_matches_exponentiated_generators(self, eta, r, theta):
+        # independent witness: dense exponentials of the truncated generators,
+        # S(xi) = exp[(xi* a^2 - xi a+^2)/2] then D(eta) = exp[eta a+ - eta* a],
+        # on 40 levels more than the chosen cutoff
+        state = displaced_squeezed_vacuum(eta, r, theta)
+        big = state.dim + 40
+        a = np.diag(np.sqrt(np.arange(1.0, big)), 1).astype(complex)
+        ad = a.conj().T
+        xi = r * np.exp(1j * theta)
+        squeeze = expm(0.5 * (np.conj(xi) * a @ a - xi * ad @ ad))
+        displace = expm(eta * ad - np.conj(eta) * a)
+        witness = (displace @ squeeze)[: state.dim, 0]
+        assert np.max(np.abs(state.amplitudes - witness)) < 1e-9
+
+    @pytest.mark.parametrize("eta, r, expected", [(2.0, 1.4, 177), (1.0, 1.0, 78)])
+    def test_cutoff_is_smallest_with_tail_below_tolerance(self, eta, r, expected):
+        tol = CutoffPolicy().tail_tol
+        state = displaced_squeezed_vacuum(eta, r)
+        assert state.dim == expected
+        pop = np.abs(displaced_squeezed_vacuum(eta, r, dim=state.dim + 60).amplitudes) ** 2
+        assert pop[state.dim:].sum() < tol <= pop[state.dim - 1:].sum()
+
     def test_cutoff_overflow(self):
         with pytest.raises(CutoffOverflowError):
             displaced_squeezed_vacuum(0.0, 2.0, policy=CutoffPolicy(cap=10))
+
+    def test_overflow_names_the_cap_and_its_option(self):
+        # Gaussian(1, 1.5) needs 211 levels: it fits under cap 211, not 200
+        assert build_probe(Gaussian(1.0, 1.5), CutoffPolicy(cap=211)).dim == 211
+        with pytest.raises(CutoffOverflowError,
+                           match=r"more than 200 levels.*--cutoff-cap"):
+            build_probe(Gaussian(1.0, 1.5))
 
 
 class TestFidelity:
