@@ -133,30 +133,38 @@ def kraus_operators(phi, dim: int) -> list[np.ndarray]:
     return ops
 
 
-def evolve_pure(psi, phi) -> DensityOperator:
-    """Propagate a pure state; returns sum_n (K_n psi)(K_n psi)+.
+def _kraus_images(amps: np.ndarray, loss: LossParameter) -> np.ndarray:
+    """Kraus images of a (..., D) stack of pure states, one per column.
 
-    The Kraus images are accumulated by repeatedly applying the scaled
-    annihilator, ascending in n. Terms stop once the input population at or
-    above level n drops below the floor: that mass bounds everything the
-    remaining terms could contribute (individual term norms are not monotone
-    in n, so testing only the current term would be unsound).
+    Column n holds K_n psi, accumulated by repeatedly applying the scaled
+    annihilator, ascending in n. A probe's terms stop once its input
+    population at or above level n drops below the floor: that mass bounds
+    everything the remaining terms could contribute (individual term norms
+    are not monotone in n, so testing only the current term would be
+    unsound). The population is non-increasing in n, so the per-probe mask
+    acts as a break.
     """
-    amps = amplitudes_of(psi)
-    d = amps.size
-    p = _as_loss(phi).phi
-    s, c = math.sin(p), math.cos(p)
+    d = amps.shape[-1]
+    s, c = math.sin(loss.phi), math.cos(loss.phi)
     cpow = c ** np.arange(d)
     sq = np.sqrt(np.arange(1, d))
-    remaining = np.cumsum(np.abs(amps[::-1]) ** 2)[::-1]
-    cols = np.zeros((d, d), dtype=complex)
+    keep = np.cumsum(np.abs(amps[..., ::-1]) ** 2, axis=-1)[..., ::-1] >= _KRAUS_TERM_FLOOR
+    keep[..., 0] = True
+    cols = np.zeros(amps.shape + (d,), dtype=complex)
+    # t holds the levels below d - n of a^n psi scaled by s^n / sqrt(n!)
     t = amps.astype(complex)
-    cols[:, 0] = cpow * t
+    cols[..., 0] = cpow * t
     for n in range(1, d):
-        if remaining[n] < _KRAUS_TERM_FLOOR:
+        if not keep[..., n].any():
             break
-        t = (s / math.sqrt(n)) * np.concatenate([sq * t[1:], [0.0]])
-        cols[:, n] = cpow * t
+        t = (s / math.sqrt(n)) * (sq[: d - n] * t[..., 1:])
+        cols[..., : d - n, n] = cpow[: d - n] * t
+    return np.where(keep[..., None, :], cols, 0.0)
+
+
+def evolve_pure(psi, phi) -> DensityOperator:
+    """Propagate a pure state; returns sum_n (K_n psi)(K_n psi)+."""
+    cols = _kraus_images(amplitudes_of(psi), _as_loss(phi))
     return DensityOperator(cols @ cols.conj().T)
 
 
@@ -199,13 +207,14 @@ def drho_dphi(rho_phi, phi) -> np.ndarray:
     """Analytic derivative of the evolved state with respect to phi.
 
     Evaluates tan(phi) (2 a rho a+ - a+a rho - rho a+a) on the state already
-    propagated to phi; the result is traceless and Hermitian.
+    propagated to phi, or on a (..., D, D) stack of such states; the result
+    is traceless and Hermitian.
     """
     m = matrix_of(rho_phi)
-    d = m.shape[0]
+    d = m.shape[-1]
     levels = np.arange(d)
     lowered = np.zeros_like(m)
     if d > 1:
-        lowered[:-1, :-1] = m[1:, 1:] * np.sqrt(np.outer(levels[1:], levels[1:]))
+        lowered[..., :-1, :-1] = m[..., 1:, 1:] * np.sqrt(np.outer(levels[1:], levels[1:]))
     p = _as_loss(phi).phi
     return math.tan(p) * (2.0 * lowered - levels[:, None] * m - m * levels[None, :])

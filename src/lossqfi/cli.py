@@ -17,8 +17,8 @@ import numpy as np
 from .channel import LossParameter, drho_dphi, evolve
 from .degauss import coverage_check, default_region_grids, region_map
 from .errors import CutoffOverflowError, DegenerateStateError, DomainError
-from .estimation import qfi, sld
-from .fock import CutoffPolicy
+from .estimation import qfi, qfi_of_state, sld
+from .fock import CutoffPolicy, mean_photon
 from .montecarlo import simulate_fock_estimation
 from .optimize import (best_cat, optimize_gaussian, optimize_qutrit,
                        optimize_superposition)
@@ -64,7 +64,7 @@ def _write_table(headers, rows, out, fmt):
                     fields.append(f'"{key}": "{value}"')
                 elif isinstance(value, (bool, np.bool_)):
                     fields.append(f'"{key}": {_fmt(value)}')
-                elif isinstance(value, float) and math.isinf(value):
+                elif isinstance(value, float) and not math.isfinite(value):
                     fields.append(f'"{key}": "{_fmt(value)}"')
                 else:
                     fields.append(f'"{key}": {_fmt(value)}')
@@ -148,10 +148,10 @@ def _sweep_phi_rows(family: str, phis, args):
             res = optimizers[head](nbar, _loss(p, args), kv)
             rows.append([family, p, res.nbar, res.best_qfi, 4.0 * res.nbar])
     else:
-        spec = parse_probe(family)
+        state = build_probe(parse_probe(family), policy)
+        nbar = mean_photon(state)
         for p in phis:
-            rep = qfi(spec, _loss(p, args), policy=policy)
-            rows.append([family, p, rep.nbar, rep.qfi, rep.ultimate_bound])
+            rows.append([family, p, nbar, qfi_of_state(state, _loss(p, args)), 4.0 * nbar])
     return rows
 
 

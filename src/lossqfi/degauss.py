@@ -16,7 +16,6 @@ import numpy as np
 from .errors import DegenerateStateError, DomainError
 from .fock import (CutoffPolicy, FockVector, _gaussian_amplitudes, _smallest_cutoff,
                    amplitudes_of)
-from .probes import qutrit_coords
 
 __all__ = [
     "RegionMap", "CoveragePoint", "CoverageReport",
@@ -109,10 +108,11 @@ def region_map(eta_grid=None, r_grid=None,
     """Sample the attainable (nbar, beta) region of 3-level truncations.
 
     For every lattice point: build D(eta) S(r) |0>, subtract one photon,
-    keep three levels, and read off the qutrit coordinates. Points with
-    nbar > 1 are dropped; degenerate points (the vacuum at eta = r = 0) and
-    points that need more levels than the cap are skipped and counted, never
-    fatal.
+    keep three levels, and read off the qutrit coordinates. Each eta row is
+    one array pass over the r grid that reads only levels 1-3 of the cut
+    states. Points with nbar > 1 are dropped; degenerate points (the vacuum
+    at eta = r = 0) and points that need more levels than the cap are
+    skipped and counted, never fatal.
     """
     if eta_grid is None and r_grid is None:
         eta_grid, r_grid = default_region_grids()
@@ -123,25 +123,36 @@ def region_map(eta_grid=None, r_grid=None,
     if np.any(eta_grid < 0):
         raise DomainError("displacement lattice must be non-negative")
     policy = policy or CutoffPolicy()
-    records = []
+    levels = np.arange(policy.cap)
+    top = levels[1:4]
+    fields = [("eta", float), ("r", float), ("nbar", float), ("beta", float)]
+    chunks = []
     skipped = 0
     for eta in eta_grid:
         # one recurrence over the whole r grid, then a cutoff per state
         amps = _gaussian_amplitudes(eta, r_grid, 0.0, policy.cap)
-        for r, vec, cut in zip(r_grid, amps, _smallest_cutoff(amps, policy)):
-            if cut == 0:
-                skipped += 1
-                continue
-            try:
-                state = photon_subtract(FockVector(vec[:cut]))
-                nbar, beta = qutrit_coords(truncate_levels(state, 3))
-            except (DegenerateStateError, DomainError):
-                skipped += 1
-                continue
-            if nbar <= 1.0:
-                records.append((eta, r, nbar, beta))
-    points = np.array(records, dtype=[("eta", float), ("r", float),
-                                      ("nbar", float), ("beta", float)])
+        cut = _smallest_cutoff(amps, policy)[:, None]
+        # a|psi> keeps sqrt(n) c_n at level n - 1 for every kept level n < cut
+        norm = np.sqrt(np.sum(np.where(levels < cut, levels * np.abs(amps) ** 2, 0.0), axis=1))
+        low = np.zeros((r_grid.size, 3))
+        low[:, :top.size] = np.where(top < cut, np.sqrt(top) * np.abs(amps[:, top]), 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # the three kept levels of the normalized subtracted state
+            low /= norm[:, None]
+            kept = np.sum(low ** 2, axis=1)
+            c1, c2 = (low[:, 1:] / np.sqrt(kept)[:, None]).T
+        # the same degeneracies photon_subtract, truncate_levels and
+        # qutrit_coords reject: the vacuum, negligible kept levels, beta undefined
+        ok = (cut[:, 0] > 0) & (norm >= 1e-12) & (kept > 1e-12)
+        ok[ok] = c1[ok] + c2[ok] >= 1e-15
+        skipped += int(np.count_nonzero(~ok))
+        nbar = c1 ** 2 + 2.0 * c2 ** 2
+        keep = ok & (nbar <= 1.0)
+        chunk = np.empty(int(np.count_nonzero(keep)), dtype=fields)
+        chunk["eta"], chunk["r"] = eta, r_grid[keep]
+        chunk["nbar"], chunk["beta"] = nbar[keep], np.arctan2(c1[keep], c2[keep])
+        chunks.append(chunk)
+    points = np.concatenate(chunks)
     return RegionMap(points=points, eta_grid=eta_grid, r_grid=r_grid, skipped=skipped)
 
 

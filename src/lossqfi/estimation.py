@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LossParameter, _as_loss, drho_dphi, evolve
+from .channel import LossParameter, _as_loss, _kraus_images, drho_dphi, evolve
 from .errors import DomainError
-from .fock import (CutoffPolicy, Spectrum, hermitian_eig, matrix_of,
-                   mean_photon)
+from .fock import (TRACE_TOL, CutoffPolicy, Spectrum, amplitudes_of,
+                   hermitian_eig, matrix_of, mean_photon)
 from .probes import ProbeSpec, build_probe
 
 __all__ = [
@@ -62,71 +62,87 @@ class EstimationReport:
                 f"QFI {self.qfi} violates the energy bound {self.ultimate_bound}")
 
 
-def _eig_frame(rho_matrix, drho):
-    """Eigendecomposition of rho plus drho rotated into that eigenbasis."""
-    spec = hermitian_eig(rho_matrix)
-    lam = spec.eigenvalues
-    d_eig = spec.eigenvectors.conj().T @ drho @ spec.eigenvectors
-    return spec, lam, d_eig
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(m, -1, -2))
 
 
-def _sld_in_frame(lam, d_eig, trace):
-    """SLD matrix elements 2 drho_qp / (lam_p + lam_q) on the support.
+def _sld_frame(rho, drho, trace):
+    """Both QFI routes and the SLD in the eigenframe of rho, over a stack.
 
-    Dividing by near-threshold eigenvalue sums amplifies the roundoff
-    asymmetry of the rotated derivative, so the result is symmetrized; the
-    exact solution is Hermitian by construction.
+    ``rho`` and ``drho`` are (..., D, D) and ``trace`` holds the positive
+    trace of each rho. The SLD solves drho = (rho L + L rho)/2 on the
+    eigenvalue pairs inside the support, lam_p + lam_q above RANK_EPS times
+    the trace: L_qp = 2 drho_qp / (lam_p + lam_q). Dividing by
+    near-threshold sums amplifies the roundoff asymmetry of the rotated
+    derivative, so L is symmetrized; the exact solution is Hermitian by
+    construction. Returns the pairwise sum of 2 |drho_qp|^2 / (lam_p +
+    lam_q), the trace Tr[rho L^2], the eigenvectors and L in their frame.
     """
-    pair = lam[:, None] + lam[None, :]
-    mask = pair > RANK_EPS * trace
-    out = np.zeros_like(d_eig)
-    out[mask] = 2.0 * d_eig[mask] / pair[mask]
-    return 0.5 * (out + out.conj().T), mask
+    lam, vecs = np.linalg.eigh(rho)
+    d_eig = _dagger(vecs) @ drho @ vecs
+    pair = lam[..., :, None] + lam[..., None, :]
+    mask = pair > RANK_EPS * np.asarray(trace)[..., None, None]
+    pair = np.where(mask, pair, 1.0)
+    h_pairs = np.sum(np.where(mask, 2.0 * np.abs(d_eig) ** 2 / pair, 0.0), axis=(-2, -1))
+    sld_eig = np.where(mask, 2.0 * d_eig / pair, 0.0)
+    sld_eig = 0.5 * (sld_eig + _dagger(sld_eig))
+    h_trace = np.sum(lam * np.einsum("...qp,...pq->...q", sld_eig, sld_eig), axis=-1).real
+    return h_pairs, h_trace, vecs, sld_eig
 
 
-def _qfi_two_routes(rho_matrix, drho):
-    trace = float(np.trace(rho_matrix).real)
-    if trace <= 0:
-        raise DomainError("state has non-positive trace")
-    spec, lam, d_eig = _eig_frame(rho_matrix, drho)
-    sld_eig, mask = _sld_in_frame(lam, d_eig, trace)
-    pair = lam[:, None] + lam[None, :]
-    h_pairs = float(np.sum(2.0 * np.abs(d_eig[mask]) ** 2 / pair[mask]))
-    h_trace = float(np.real(np.sum(lam * np.einsum("qp,pq->q", sld_eig, sld_eig))))
-    return h_pairs, h_trace, spec, sld_eig
+def _qfi_stack(amps, loss: LossParameter) -> np.ndarray:
+    """QFI of every pure probe in a (B, D) amplitude stack at one loss angle.
+
+    Propagates each probe through the channel (rho = C C+ over its Kraus
+    images C), checks its trace, and computes both the pairwise sum over
+    eigenpairs and Tr[rho L^2]. Every element must pass the route agreement
+    and the energy bound H <= 4 nbar; returns the pairwise sums, which never
+    divide by a lone vanishing eigenvalue.
+    """
+    amps = np.asarray(amps, dtype=complex)
+    cols = _kraus_images(amps, loss)
+    rho = cols @ _dagger(cols)
+    rho = 0.5 * (rho + _dagger(rho))
+    trace = np.trace(rho, axis1=-2, axis2=-1).real
+    off = np.abs(trace - 1.0) > TRACE_TOL
+    if off.any():
+        raise DomainError(f"trace {trace[off][0]!r} deviates from 1 beyond {TRACE_TOL}")
+    h_pairs, h_trace, _, _ = _sld_frame(rho, drho_dphi(rho, loss), trace)
+    scale = np.maximum(np.maximum(np.abs(h_pairs), np.abs(h_trace)), 1e-9)
+    split = np.abs(h_pairs - h_trace) > ROUTE_AGREEMENT * scale
+    if split.any():
+        i = int(np.argmax(split))
+        raise ArithmeticError(f"QFI routes disagree: {h_pairs[i]} vs {h_trace[i]}")
+    bound = 4.0 * (np.abs(amps) ** 2 @ np.arange(amps.shape[-1]))
+    over = h_pairs > bound * (1.0 + BOUND_SLACK)
+    if over.any():
+        i = int(np.argmax(over))
+        raise DomainError(f"QFI {h_pairs[i]} violates the energy bound {bound[i]}")
+    return h_pairs
 
 
 def qfi_of_state(state, phi) -> float:
-    """Numeric QFI of an already-built probe state at loss phi.
+    """Numeric QFI of an already-built pure probe state at loss phi.
 
-    Computes both the pairwise sum over eigenpairs and Tr[rho Lambda^2] and
-    insists they agree; returns the pairwise-sum value, which never divides
-    by a lone vanishing eigenvalue.
+    The single-probe case of the stacked core: both QFI routes must agree
+    and the value must respect the energy bound.
     """
-    loss = _as_loss(phi)
-    rho = evolve(state, loss)
-    drho = drho_dphi(rho, loss)
-    h_pairs, h_trace, _, _ = _qfi_two_routes(rho.matrix, drho)
-    if abs(h_pairs - h_trace) > ROUTE_AGREEMENT * max(abs(h_pairs), abs(h_trace), 1e-9):
-        raise ArithmeticError(
-            f"QFI routes disagree: {h_pairs} vs {h_trace}")
-    return h_pairs
+    return float(_qfi_stack(amplitudes_of(state)[None], _as_loss(phi))[0])
 
 
 def sld(rho_phi, drho, phi) -> SLDOperator:
     """Symmetric logarithmic derivative of the evolved state.
 
     Solves drho = (rho L + L rho)/2 in the eigenbasis of rho, restricted to
-    eigenvalue pairs inside the support, and returns L in the Fock basis.
+    eigenvalue pairs inside the support, and returns L in the Fock basis
+    with its spectrum in a deterministic frame.
     """
     loss = _as_loss(phi)
     rho_matrix = matrix_of(rho_phi)
     trace = float(np.trace(rho_matrix).real)
     if trace <= 0:
         raise DomainError("state has non-positive trace")
-    spec, lam, d_eig = _eig_frame(rho_matrix, np.asarray(drho, dtype=complex))
-    sld_eig, _ = _sld_in_frame(lam, d_eig, trace)
-    v = spec.eigenvectors
+    _, _, v, sld_eig = _sld_frame(rho_matrix, np.asarray(drho, dtype=complex), trace)
     matrix = v @ sld_eig @ v.conj().T
     return SLDOperator(matrix=matrix, spectrum=hermitian_eig(matrix), phi=loss)
 
@@ -207,7 +223,9 @@ def classical_fisher(projectors, probe: ProbeSpec, phi,
     F = sum_x (dp_x)^2 / p_x over outcomes; outcomes with p_x < 1e-14 and
     |dp_x| < 1e-12 carry no information and are skipped, while a vanishing
     probability with a significant derivative returns math.inf (the
-    unbounded-information flag) instead of crashing.
+    unbounded-information flag) instead of crashing. Every projector must
+    act on the evolved state's space; a DomainError names both dimensions
+    otherwise.
     """
     loss = _as_loss(phi)
     state = build_probe(probe, policy)
@@ -217,13 +235,12 @@ def classical_fisher(projectors, probe: ProbeSpec, phi,
     total = 0.0
     for item in projectors:
         proj = np.asarray(item[1] if isinstance(item, tuple) else item, dtype=complex)
-        if proj.shape[0] != dim:
-            side = min(proj.shape[0], dim)
-            p = float(np.trace(proj[:side, :side] @ rho.matrix[:side, :side]).real)
-            dp = float(np.trace(proj[:side, :side] @ drho[:side, :side]).real)
-        else:
-            p = float(np.trace(proj @ rho.matrix).real)
-            dp = float(np.trace(proj @ drho).real)
+        if proj.shape != (dim, dim):
+            raise DomainError(
+                f"projector dimension {proj.shape[0]} differs from the evolved "
+                f"state's dimension {dim}")
+        p = float(np.trace(proj @ rho.matrix).real)
+        dp = float(np.trace(proj @ drho).real)
         if p < 1e-14:
             if abs(dp) < 1e-12:
                 continue

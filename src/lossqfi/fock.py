@@ -22,7 +22,7 @@ __all__ = [
     "CutoffPolicy", "FockVector", "DensityOperator", "Spectrum",
     "ladder_operators", "hermitian_eig", "fock_state", "coherent_state",
     "displaced_squeezed_vacuum", "fidelity", "mean_photon",
-    "hermitize", "amplitudes_of", "matrix_of",
+    "amplitudes_of", "matrix_of",
 ]
 
 HERMITICITY_TOL = 1e-8
@@ -128,10 +128,6 @@ def matrix_of(state) -> np.ndarray:
     return arr
 
 
-def hermitize(matrix) -> np.ndarray:
-    return 0.5 * (np.asarray(matrix, dtype=complex) + np.asarray(matrix, dtype=complex).conj().T)
-
-
 def ladder_operators(dim: int):
     """Annihilation, creation and number operators on a dim-level space.
 
@@ -158,7 +154,7 @@ def hermitian_eig(matrix, tol: float = HERMITICITY_TOL) -> Spectrum:
     scale = max(np.linalg.norm(m), 1.0)
     if np.linalg.norm(m - m.conj().T) > tol * scale:
         raise DomainError("matrix is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh(hermitize(m))
+    vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
     vals, vecs = vals[::-1], vecs[:, ::-1]
     for k in range(vecs.shape[1]):
         i = int(np.argmax(np.abs(vecs[:, k])))

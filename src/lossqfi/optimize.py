@@ -18,11 +18,11 @@ from scipy.optimize import brentq, minimize
 
 from .channel import LossParameter, _as_loss
 from .errors import DomainError
-from .estimation import qfi_of_state
+from .estimation import _qfi_stack, qfi_of_state
 from .fock import CutoffPolicy, displaced_squeezed_vacuum, mean_photon
 from .montecarlo import _rep_rng
 from .probes import (Cat, Gaussian, ProbeSpec, Qutrit, Superposition,
-                     build_probe, cat_alpha_for_energy)
+                     _qutrit_amplitudes, build_probe, cat_alpha_for_energy)
 
 __all__ = [
     "OptimizationResult", "optimize_qutrit", "optimize_superposition",
@@ -85,8 +85,9 @@ def _golden_max(f, lo, hi, tol):
 def optimize_qutrit(nbar: float, phi, policy: CutoffPolicy | None = None) -> OptimizationResult:
     """Best qutrit weight beta at fixed energy, phases at their optimum pi.
 
-    Scans a dense beta grid over [0, pi/2] and polishes the best cell with
-    golden-section search; deterministic, no randomness involved.
+    Scans a dense beta grid over [0, pi/2] in one stacked QFI evaluation and
+    polishes the best cell with golden-section search; deterministic, no
+    randomness involved.
     """
     if not (0.0 < nbar <= 1.0):
         raise DomainError("qutrit optimization is asserted for nbar in (0, 1]")
@@ -96,7 +97,8 @@ def optimize_qutrit(nbar: float, phi, policy: CutoffPolicy | None = None) -> Opt
         return qfi_of_state(build_probe(Qutrit(nbar, beta), policy), loss)
 
     grid = np.linspace(0.0, np.pi / 2, QUTRIT_GRID_POINTS)
-    vals = np.array([value(b) for b in grid])
+    amps = _qutrit_amplitudes(nbar, grid)
+    vals = _qfi_stack(amps / np.linalg.norm(amps, axis=-1, keepdims=True), loss)
     i = int(np.argmax(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, QUTRIT_GRID_POINTS - 1)]

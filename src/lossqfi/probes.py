@@ -210,13 +210,16 @@ def cat_alpha_for_energy(nbar: float, sign: int) -> float:
     return float(brentq(lambda a: cat_mean_photon(a, sign) - nbar, lo, hi, xtol=1e-14))
 
 
-def _qutrit_amplitudes(spec: Qutrit) -> np.ndarray:
-    alpha = math.asin(math.sqrt(min(2.0 * spec.nbar / (math.cos(2.0 * spec.beta) + 3.0), 1.0)))
-    return np.array([
-        math.cos(alpha),
-        np.exp(1j * spec.mu) * math.sin(alpha) * math.sin(spec.beta),
-        np.exp(1j * spec.nu) * math.sin(alpha) * math.cos(spec.beta),
-    ])
+def _qutrit_amplitudes(nbar: float, beta, mu: float = np.pi, nu: float = np.pi) -> np.ndarray:
+    """Closed-form qutrit amplitudes; ``beta`` may be an array, the level
+    index is then the last axis."""
+    beta = np.asarray(beta, dtype=float)
+    alpha = np.arcsin(np.sqrt(np.minimum(2.0 * nbar / (np.cos(2.0 * beta) + 3.0), 1.0)))
+    return np.stack([
+        np.cos(alpha) + 0j,
+        np.exp(1j * mu) * np.sin(alpha) * np.sin(beta),
+        np.exp(1j * nu) * np.sin(alpha) * np.cos(beta),
+    ], axis=-1)
 
 
 def build_probe(spec: ProbeSpec, policy: CutoffPolicy | None = None) -> FockVector:
@@ -228,7 +231,7 @@ def build_probe(spec: ProbeSpec, policy: CutoffPolicy | None = None) -> FockVect
         return FockVector(np.array([math.cos(spec.theta),
                                     np.exp(1j * spec.varphi) * math.sin(spec.theta)]))
     if isinstance(spec, Qutrit):
-        return FockVector(_qutrit_amplitudes(spec))
+        return FockVector(_qutrit_amplitudes(spec.nbar, spec.beta, spec.mu, spec.nu))
     if isinstance(spec, Superposition):
         return FockVector(np.array(spec.coefficients, dtype=complex))
     if isinstance(spec, Coherent):

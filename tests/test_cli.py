@@ -1,10 +1,11 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from lossqfi.cli import main
+from lossqfi.cli import _write_table, main
 
 
 def run(tmp_path, *argv):
@@ -181,3 +182,13 @@ class TestFormats:
         row = text.strip().split("\n")[1]
         phi_cell = row.split('",')[1].split(",")[0]
         assert phi_cell == format(math.pi / 3, ".12g")
+
+    def test_json_quotes_non_finite_values(self, tmp_path):
+        out = tmp_path / "t.json"
+        _write_table(["a", "b", "c", "d"],
+                     [[float("nan"), math.inf, -math.inf, np.float64("nan")]],
+                     str(out), "json")
+        text = out.read_text()
+        assert re.search(r":\s*-?(nan|inf)\b", text) is None
+        row = json.loads(text)[0]
+        assert row == {"a": "nan", "b": "inf", "c": "-inf", "d": "nan"}

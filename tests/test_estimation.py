@@ -244,6 +244,13 @@ class TestClassicalFisher:
             f = classical_fisher(projectors, Fock(3), 0.9)
             assert f <= h * (1.0 + 1e-6)
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_projector_dimension_mismatch_is_rejected(self, dim):
+        # Fock(2) evolves on 3 levels; a cropped or padded measurement is an error
+        projectors = [np.eye(dim, dtype=complex)]
+        with pytest.raises(DomainError, match=rf"\b{dim}\b.*\b3\b"):
+            classical_fisher(projectors, Fock(2), 0.7)
+
 
 class TestCramerRao:
     def test_fock_saturation_numbers(self):
