@@ -22,7 +22,8 @@ from .fock import CutoffPolicy, mean_photon
 from .montecarlo import simulate_fock_estimation
 from .optimize import (best_cat, optimize_gaussian, optimize_qutrit,
                        optimize_superposition)
-from .probes import _fnum, build_probe, parse_probe, probe_label
+from .probes import (Coherent, Fock, Qubit, _fnum, _parse_kv, build_probe,
+                     parse_probe, probe_label)
 
 USAGE_ERROR = 2
 ENGINE_ERROR = 1
@@ -119,13 +120,6 @@ def _split_families(text: str) -> list[str]:
     return merged
 
 
-def _family_params(family: str, body: str) -> dict:
-    try:
-        return dict(item.split("=", 1) for item in body.split(",")) if body else {}
-    except ValueError as exc:
-        raise ConfigError(f"bad family parameters in {family!r}") from exc
-
-
 def _sweep_phi_rows(family: str, phis, args):
     policy = _policy(args)
     head, _, body = family.partition(":")
@@ -140,7 +134,7 @@ def _sweep_phi_rows(family: str, phis, args):
     }
     rows = []
     if head in optimizers:
-        kv = _family_params(family, body)
+        kv = _parse_kv(head, body, ("nbar", "k") if head == "superposition_k" else ("nbar",))
         if "nbar" not in kv:
             raise ConfigError(f"family {family!r} needs an nbar parameter")
         nbar = _fnum(kv["nbar"])
@@ -166,35 +160,29 @@ def cmd_sweep_phi(args) -> int:
     return 0
 
 
+def _fock_level(nbar: float) -> int:
+    n = int(round(nbar))
+    if abs(nbar - n) > 1e-9 or n < 1:
+        raise DomainError(f"fock family needs integer energies, got {nbar}")
+    return n
+
+
 def _sweep_energy_value(tag: str, nbar: float, loss, args):
     policy = _policy(args)
     head, _, body = tag.partition(":")
-    if head == "qubit":
-        from .probes import Qubit
-        rep = qfi(Qubit.from_nbar(nbar), loss, policy=policy)
-        return rep.qfi
-    if head == "coherent":
-        from .probes import Coherent
-        rep = qfi(Coherent(math.sqrt(nbar)), loss, policy=policy)
-        return rep.qfi
-    if head == "fock":
-        n = int(round(nbar))
-        if abs(nbar - n) > 1e-9 or n < 1:
-            raise DomainError(f"fock family needs integer energies, got {nbar}")
-        from .probes import Fock
-        return qfi(Fock(n), loss, policy=policy).qfi
-    if head == "qutrit_opt":
-        return optimize_qutrit(nbar, loss, policy=policy).best_qfi
-    if head == "gaussian_opt":
-        return optimize_gaussian(nbar, loss, policy=policy).best_qfi
-    if head == "superposition_k":
-        kv = _family_params(tag, body)
-        kmax = int(kv.get("k", "3"))
-        return optimize_superposition(kmax, nbar, loss, seed=args.seed,
-                                      policy=policy).best_qfi
-    if head == "cat_best":
-        return best_cat(nbar, loss, policy=policy).best_qfi
-    raise ConfigError(f"unknown energy-sweep family {tag!r}")
+    values = {
+        "qubit": lambda kv: qfi(Qubit.from_nbar(nbar), loss, policy=policy).qfi,
+        "coherent": lambda kv: qfi(Coherent(math.sqrt(nbar)), loss, policy=policy).qfi,
+        "fock": lambda kv: qfi(Fock(_fock_level(nbar)), loss, policy=policy).qfi,
+        "qutrit_opt": lambda kv: optimize_qutrit(nbar, loss, policy=policy).best_qfi,
+        "gaussian_opt": lambda kv: optimize_gaussian(nbar, loss, policy=policy).best_qfi,
+        "superposition_k": lambda kv: optimize_superposition(
+            int(kv.get("k", "3")), nbar, loss, seed=args.seed, policy=policy).best_qfi,
+        "cat_best": lambda kv: best_cat(nbar, loss, policy=policy).best_qfi,
+    }
+    if head not in values:
+        raise ConfigError(f"unknown energy-sweep family {tag!r}")
+    return values[head](_parse_kv(head, body, ("k",) if head == "superposition_k" else ()))
 
 
 def cmd_sweep_energy(args) -> int:

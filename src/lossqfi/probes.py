@@ -276,15 +276,18 @@ def nominal_nbar(spec: ProbeSpec) -> float | None:
 # ---------------------------------------------------------------------------
 # canonical text forms
 
-def _parse_kv(body: str) -> dict:
+def _parse_kv(family: str, body: str, keys) -> dict:
+    """The ``k=v`` pairs of a comma list, rejecting keys outside ``keys``."""
     out = {}
-    if not body:
-        return out
-    for item in body.split(","):
+    for item in body.split(",") if body else ():
         if "=" not in item:
             raise DomainError(f"expected key=value, got {item!r}")
         key, val = item.split("=", 1)
         out[key.strip()] = val.strip()
+    unknown = [k for k in out if k not in keys]
+    if unknown:
+        raise DomainError(f"{family} does not take {', '.join(unknown)}; it takes "
+                          f"{', '.join(keys) if keys else 'no parameters'}")
     return out
 
 
@@ -298,7 +301,7 @@ def _fnum(text: str) -> float:
     neg = t.startswith("-")
     if neg:
         t = t[1:]
-    head, _, tail = t.partition("/")
+    head, slash, tail = t.partition("/")
     try:
         if head.endswith("*pi"):
             value = float(head[:-3]) * math.pi
@@ -306,11 +309,21 @@ def _fnum(text: str) -> float:
             value = math.pi
         else:
             raise ValueError(t)
-        if tail:
+        if slash:
             value /= float(tail)
         return -value if neg else value
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"cannot parse number {text!r}") from exc
+
+
+# the keys each family's text form takes
+_PROBE_KEYS = {
+    "fock": ("n",), "qubit": ("theta", "nbar", "varphi"),
+    "qutrit": ("nbar", "beta", "mu", "nu"), "superposition": ("c",),
+    "coherent": ("alpha",), "cat": ("alpha", "sign"),
+    "gaussian": ("eta", "r", "theta"), "subtracted": ("eta", "r"),
+    "truncsub": ("eta", "r", "levels"),
+}
 
 
 def parse_probe(text: str) -> ProbeSpec:
@@ -320,12 +333,16 @@ def parse_probe(text: str) -> ProbeSpec:
     else:
         family, body = text, ""
     family = family.strip().lower()
-    kv = _parse_kv(body)
+    if family not in _PROBE_KEYS:
+        raise DomainError(f"unknown probe family {family!r}")
+    kv = _parse_kv(family, body, _PROBE_KEYS[family])
     try:
         if family == "fock":
             return Fock(int(kv["n"]))
         if family == "qubit":
             varphi = _fnum(kv.get("varphi", "0"))
+            if "theta" in kv and "nbar" in kv:
+                raise DomainError("qubit takes theta or nbar, not both")
             if "theta" in kv:
                 return Qubit(_fnum(kv["theta"]), varphi)
             return Qubit.from_nbar(_fnum(kv["nbar"]), varphi)
@@ -350,7 +367,6 @@ def parse_probe(text: str) -> ProbeSpec:
                                        int(kv.get("levels", "3")))
     except (KeyError, ValueError) as exc:
         raise DomainError(f"bad probe spec {text!r}: {exc}") from exc
-    raise DomainError(f"unknown probe family {family!r}")
 
 
 def probe_label(spec: ProbeSpec) -> str:

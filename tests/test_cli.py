@@ -164,6 +164,29 @@ class TestRegionCommand:
         assert code == 2
 
 
+class TestBadInput:
+    @pytest.mark.parametrize("phi", ["pi/0", "pi/"])
+    def test_bad_fraction_is_engine_error(self, tmp_path, capsys, phi):
+        code, text = run(tmp_path, "qfi", "fock:n=1", "--phi", phi)
+        assert (code, text) == (1, "")
+        assert f"cannot parse number {phi!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("qfi", "gaussian:eta=1,r=1,thta=0.3", "--phi", "0.5"),
+         "gaussian does not take thta; it takes eta, r, theta"),
+        (("qfi", "qubit:nbar=0.5,theta=0.2", "--phi", "0.5"),
+         "qubit takes theta or nbar, not both"),
+        (("sweep-phi", "--families", "qutrit_opt:nbar=0.5,kk=3", "--phi", "0.4:1.2:3"),
+         "qutrit_opt does not take kk; it takes nbar"),
+        (("sweep-energy", "--families", "coherent:alpha=5", "--nbar", "0.2:1:3",
+          "--phi", "0.5"), "coherent does not take alpha; it takes no parameters"),
+    ])
+    def test_keys_a_family_does_not_take(self, tmp_path, capsys, argv, message):
+        code, text = run(tmp_path, *argv)
+        assert (code, text) == (1, "")
+        assert message in capsys.readouterr().err
+
+
 class TestFormats:
     def test_json_is_valid_and_deterministic(self, tmp_path):
         args = ("qfi", "fock:n=2", "--phi", "0.6", "--format", "json")

@@ -1,4 +1,9 @@
-"""Property test of the stacked QFI core against a dense reference.
+"""Property tests of the stacked QFI core and of the real-slice chart.
+
+The core is checked against a dense reference, and for the two symmetries
+the fixed-energy optimizers rely on: the loss channel commutes with
+e^{i theta N} and its Kraus operators are real in the Fock basis, so
+H(e^{i theta N} psi) = H(psi) and H(psi*) = H(psi).
 
 The reference is written here from first principles: the dense Kraus
 operators K_n = sin(phi)^n / sqrt(n!) cos(phi)^N a^n, their analytic phi
@@ -23,6 +28,7 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from lossqfi import LossParameter  # noqa: E402
 from lossqfi.estimation import RANK_EPS, _qfi_stack  # noqa: E402
+from lossqfi.optimize import _slice_coords, _slice_point  # noqa: E402
 
 
 def reference_qfi(psi: np.ndarray, phi: float) -> float:
@@ -76,3 +82,37 @@ def test_stacked_core_matches_dense_reference(stack):
     for h, psi in zip(got, amps):
         ref = reference_qfi(psi, phi)
         assert abs(h - ref) <= 1e-12 * max(abs(ref), 1e-3)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(probe_stacks(), st.floats(0.0, 2.0 * math.pi))
+def test_phase_rotation_and_conjugation_keep_the_qfi(stack, theta):
+    amps, phi = stack
+    loss = LossParameter(phi)
+    h = _qfi_stack(amps, loss)
+    rotated = amps * np.exp(1j * theta * np.arange(amps.shape[1]))
+    for other in (rotated, amps.conj()):
+        assert np.all(np.abs(_qfi_stack(other, loss) - h)
+                      <= 1e-12 * np.maximum(np.abs(h), 1e-3))
+
+
+@st.composite
+def chart_points(draw):
+    kmax = draw(st.integers(1, 8))
+    u = draw(hnp.arrays(float, kmax + 1,
+                        elements=st.floats(-1.0, 1.0, allow_nan=False)))
+    # integer energies put a level on the slice's pivot n = nbar
+    nbar = draw(st.floats(0.01, kmax) | st.integers(1, kmax).map(float))
+    return u, nbar
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(chart_points())
+def test_slice_chart_lands_on_the_slice_and_inverts(point):
+    u, nbar = point
+    c = _slice_point(u, nbar)
+    hypothesis.assume(c is not None)
+    assert abs(np.sum(c ** 2) - 1.0) <= 1e-12
+    assert abs(np.sum(np.arange(c.size) * c ** 2) - nbar) <= 1e-12
+    assert c[np.flatnonzero(c)[0]] > 0
+    assert np.max(np.abs(_slice_point(_slice_coords(c, nbar), nbar) - c)) <= 1e-12

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from lossqfi import (DomainError, best_cat, closed_form_qfi,
-                     evaluate_result, mean_photon, optimize_gaussian,
-                     optimize_qutrit, optimize_superposition, build_probe,
-                     qfi_of_state)
+from lossqfi import (DomainError, Gaussian, best_cat,
+                     closed_form_qfi, evaluate_result, mean_photon,
+                     optimize_gaussian, optimize_qutrit,
+                     optimize_superposition, build_probe, qfi_of_state)
+from lossqfi import optimize
+from lossqfi.probes import _qutrit_amplitudes
 
 
 class TestOptimizeQutrit:
@@ -61,9 +63,9 @@ class TestOptimizeSuperposition:
     def test_feasibility_of_optimum(self):
         res = optimize_superposition(3, 0.7, 0.9, seed=1, starts=8)
         coeffs = np.array(res.best_params["coefficients"])
-        assert abs(np.sum(np.abs(coeffs) ** 2) - 1.0) <= 1e-10
+        assert abs(np.sum(np.abs(coeffs) ** 2) - 1.0) <= 1e-12
         energy = np.sum(np.arange(coeffs.size) * np.abs(coeffs) ** 2)
-        assert abs(energy - 0.7) <= 1e-10
+        assert abs(energy - 0.7) <= 1e-12
 
     def test_determinism(self):
         first = optimize_superposition(3, 0.5, math.pi / 4, seed=0, starts=8)
@@ -85,6 +87,14 @@ class TestOptimizeSuperposition:
         res = optimize_superposition(3, 1.7, 0.6, seed=0, starts=6)
         assert res.best_qfi <= 4 * 1.7 * (1 + 1e-6)
         assert res.best_qfi > closed_form_qfi("coherent", {"nbar": 1.7}, 0.6)
+
+    def test_phase_check_catches_a_non_maximum(self, monkeypatch):
+        # planted violation: a chart that always returns the qutrit with all
+        # coefficients positive, where the phases sit at a minimum
+        point = np.abs(_qutrit_amplitudes(0.5, 0.6))
+        monkeypatch.setattr(optimize, "_slice_point", lambda u, nbar: point)
+        with pytest.raises(ArithmeticError, match="not a phase maximum"):
+            optimize_superposition(2, 0.5, 0.7, seed=0, starts=3)
 
     def test_boundary_energy_is_top_fock_state(self):
         # nbar = kmax leaves only |kmax> itself
@@ -108,16 +118,25 @@ class TestOptimizeGaussian:
         assert mean_photon(build_probe(res.probe)) == pytest.approx(0.5, abs=1e-6)
 
     def test_zero_relative_phase_is_optimal(self):
-        # theta_rel = 0 never loses at interior squeezing fractions
+        # the optimizer searches theta_rel = 0 only; a finer scan than its
+        # own 16-point check finds no relative phase that does better
         for nbar, phi in [(0.5, 0.6), (1.0, 0.9)]:
             res = optimize_gaussian(nbar, phi)
-            x = res.best_params["squeeze_fraction"]
-            if 0.01 < x < 0.99:
-                from lossqfi import Gaussian
-                r = math.asinh(math.sqrt(x * nbar))
-                eta = math.sqrt((1 - x) * nbar)
-                h_zero = qfi_of_state(build_probe(Gaussian(eta, r, 0.0)), phi)
-                assert h_zero >= res.best_qfi - 1e-6
+            assert res.best_params["theta_rel"] == 0.0
+            eta, r = res.best_params["eta"], res.best_params["r"]
+            scan = [qfi_of_state(build_probe(Gaussian(eta, r, theta)), phi)
+                    for theta in np.linspace(0.0, 2.0 * math.pi, 25)[1:-1]]
+            assert max(scan) <= res.best_qfi + 1e-9
+
+    def test_theta_check_catches_a_tilted_search(self, monkeypatch):
+        # planted violation: the squeeze-fraction search runs at
+        # theta_rel = 0.4, where the scan at its optimum finds better phases
+        tilted = optimize._gauss_state
+        monkeypatch.setattr(optimize, "_gauss_state",
+                            lambda nbar, x, theta, policy:
+                            tilted(nbar, x, theta + 0.4, policy))
+        with pytest.raises(ArithmeticError, match="beats theta_rel = 0"):
+            optimize_gaussian(0.5, 0.6)
 
     def test_reevaluation_reproduces_optimum(self):
         res = optimize_gaussian(0.3, 1.1)

@@ -176,3 +176,12 @@ class TestTextForms:
     def test_bad_value(self):
         with pytest.raises(DomainError):
             parse_probe("fock:n=two")
+
+    @pytest.mark.parametrize("text,message", [
+        ("gaussian:eta=1,r=1,thta=0.3", "does not take thta; it takes eta, r, theta"),
+        ("fock:n=1,m=2", "does not take m; it takes n"),
+        ("qubit:nbar=0.5,theta=0.2", "qubit takes theta or nbar, not both"),
+    ])
+    def test_keys_the_family_does_not_take(self, text, message):
+        with pytest.raises(DomainError, match=message):
+            parse_probe(text)
