@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -22,8 +23,7 @@ from .fock import CutoffPolicy, mean_photon
 from .montecarlo import simulate_fock_estimation
 from .optimize import (best_cat, optimize_gaussian, optimize_qutrit,
                        optimize_superposition)
-from .probes import (Coherent, Fock, Qubit, _fnum, _parse_kv, build_probe,
-                     parse_probe, probe_label)
+from .probes import _FAMILIES, _fnum, _parse_kv, build_probe, parse_probe, probe_label
 
 USAGE_ERROR = 2
 ENGINE_ERROR = 1
@@ -120,32 +120,48 @@ def _split_families(text: str) -> list[str]:
     return merged
 
 
+# One fixed-energy optimizer: its `optimize --family` name, its sweep tag, the
+# sweep keys it takes besides nbar, its call at (nbar, loss, superposition
+# order k, seed, policy), and the extra columns `optimize` prints from its
+# best parameters.
+_Optimizer = namedtuple("_Optimizer", "family tag keys run columns")
+_OPTIMIZERS = (
+    _Optimizer("qutrit", "qutrit_opt", (),
+               lambda nbar, loss, k, seed, policy: optimize_qutrit(nbar, loss, policy=policy),
+               lambda p: [("beta", p["beta"])]),
+    _Optimizer("gaussian", "gaussian_opt", (),
+               lambda nbar, loss, k, seed, policy: optimize_gaussian(nbar, loss, policy=policy),
+               lambda p: [(key, p[key]) for key in ("squeeze_fraction", "theta_rel", "eta", "r")]),
+    _Optimizer("superposition", "superposition_k", ("k",),
+               lambda nbar, loss, k, seed, policy: optimize_superposition(
+                   k, nbar, loss, seed=seed, policy=policy),
+               lambda p: [(f"c{m}", f"{c.real:.12g}{c.imag:+.12g}j")
+                          for m, c in enumerate(p["coefficients"])]),
+    _Optimizer("cat", "cat_best", (),
+               lambda nbar, loss, k, seed, policy: best_cat(nbar, loss, policy=policy),
+               lambda p: [("alpha", p["alpha"]), ("sign", p["sign"])]),
+)
+_OPTIMIZER_FAMILIES = {opt.family: opt for opt in _OPTIMIZERS}
+_OPTIMIZER_TAGS = {opt.tag: opt for opt in _OPTIMIZERS}
+
+
 def _sweep_phi_rows(family: str, phis, args):
     policy = _policy(args)
     head, _, body = family.partition(":")
-    optimizers = {
-        "qutrit_opt": lambda nbar, loss, kv: optimize_qutrit(
-            nbar, loss, policy=policy),
-        "gaussian_opt": lambda nbar, loss, kv: optimize_gaussian(
-            nbar, loss, policy=policy),
-        "superposition_k": lambda nbar, loss, kv: optimize_superposition(
-            int(kv.get("k", "3")), nbar, loss, seed=args.seed, policy=policy),
-        "cat_best": lambda nbar, loss, kv: best_cat(nbar, loss, policy=policy),
-    }
-    rows = []
-    if head in optimizers:
-        kv = _parse_kv(head, body, ("nbar", "k") if head == "superposition_k" else ("nbar",))
-        if "nbar" not in kv:
-            raise ConfigError(f"family {family!r} needs an nbar parameter")
-        nbar = _fnum(kv["nbar"])
-        for p in phis:
-            res = optimizers[head](nbar, _loss(p, args), kv)
-            rows.append([family, p, res.nbar, res.best_qfi, 4.0 * res.nbar])
-    else:
+    opt = _OPTIMIZER_TAGS.get(head)
+    if opt is None:
         state = build_probe(parse_probe(family), policy)
         nbar = mean_photon(state)
-        for p in phis:
-            rows.append([family, p, nbar, qfi_of_state(state, _loss(p, args)), 4.0 * nbar])
+        return [[family, p, nbar, qfi_of_state(state, _loss(p, args)), 4.0 * nbar]
+                for p in phis]
+    kv = _parse_kv(head, body, ("nbar",) + opt.keys)
+    if "nbar" not in kv:
+        raise ConfigError(f"family {family!r} needs an nbar parameter")
+    nbar = _fnum(kv["nbar"])
+    rows = []
+    for p in phis:
+        res = opt.run(nbar, _loss(p, args), int(kv.get("k", "3")), args.seed, policy)
+        rows.append([family, p, res.nbar, res.best_qfi, 4.0 * res.nbar])
     return rows
 
 
@@ -160,29 +176,17 @@ def cmd_sweep_phi(args) -> int:
     return 0
 
 
-def _fock_level(nbar: float) -> int:
-    n = int(round(nbar))
-    if abs(nbar - n) > 1e-9 or n < 1:
-        raise DomainError(f"fock family needs integer energies, got {nbar}")
-    return n
-
-
 def _sweep_energy_value(tag: str, nbar: float, loss, args):
     policy = _policy(args)
     head, _, body = tag.partition(":")
-    values = {
-        "qubit": lambda kv: qfi(Qubit.from_nbar(nbar), loss, policy=policy).qfi,
-        "coherent": lambda kv: qfi(Coherent(math.sqrt(nbar)), loss, policy=policy).qfi,
-        "fock": lambda kv: qfi(Fock(_fock_level(nbar)), loss, policy=policy).qfi,
-        "qutrit_opt": lambda kv: optimize_qutrit(nbar, loss, policy=policy).best_qfi,
-        "gaussian_opt": lambda kv: optimize_gaussian(nbar, loss, policy=policy).best_qfi,
-        "superposition_k": lambda kv: optimize_superposition(
-            int(kv.get("k", "3")), nbar, loss, seed=args.seed, policy=policy).best_qfi,
-        "cat_best": lambda kv: best_cat(nbar, loss, policy=policy).best_qfi,
-    }
-    if head not in values:
+    opt = _OPTIMIZER_TAGS.get(head)
+    if opt is not None:
+        kv = _parse_kv(head, body, opt.keys)
+        return opt.run(nbar, loss, int(kv.get("k", "3")), args.seed, policy).best_qfi
+    if head not in _FAMILIES or _FAMILIES[head].from_nbar is None:
         raise ConfigError(f"unknown energy-sweep family {tag!r}")
-    return values[head](_parse_kv(head, body, ("k",) if head == "superposition_k" else ()))
+    _parse_kv(head, body, ())
+    return qfi(_FAMILIES[head].from_nbar(nbar), loss, policy=policy).qfi
 
 
 def cmd_sweep_energy(args) -> int:
@@ -215,26 +219,9 @@ def cmd_qfi(args) -> int:
 
 def cmd_optimize(args) -> int:
     loss = _loss(_fnum(args.phi), args)
-    policy = _policy(args)
-    if args.family == "qutrit":
-        res = optimize_qutrit(args.nbar, loss, policy=policy)
-        extras = [("beta", res.best_params["beta"])]
-    elif args.family == "gaussian":
-        res = optimize_gaussian(args.nbar, loss, policy=policy)
-        extras = [("squeeze_fraction", res.best_params["squeeze_fraction"]),
-                  ("theta_rel", res.best_params["theta_rel"]),
-                  ("eta", res.best_params["eta"]), ("r", res.best_params["r"])]
-    elif args.family == "superposition":
-        res = optimize_superposition(args.kmax, args.nbar, loss,
-                                     seed=args.seed, policy=policy)
-        extras = [(f"c{m}", f"{c.real:.12g}{c.imag:+.12g}j")
-                  for m, c in enumerate(res.best_params["coefficients"])]
-    elif args.family == "cat":
-        res = best_cat(args.nbar, loss, policy=policy)
-        extras = [("alpha", res.best_params["alpha"]),
-                  ("sign", res.best_params["sign"])]
-    else:
-        raise ConfigError(f"unknown optimization family {args.family!r}")
+    opt = _OPTIMIZER_FAMILIES[args.family]
+    res = opt.run(args.nbar, loss, args.kmax, args.seed, _policy(args))
+    extras = opt.columns(res.best_params)
     headers = (["family", "nbar", "phi", "best_qfi", "ultimate_bound",
                 "starts", "converged", "seed"] + [k for k, _ in extras])
     rows = [[res.family, res.nbar, loss.phi, res.best_qfi, 4.0 * res.nbar,
@@ -346,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("optimize", help="optimize one family at fixed energy")
     p.add_argument("--family", required=True,
-                   choices=("qutrit", "gaussian", "superposition", "cat"))
+                   choices=tuple(_OPTIMIZER_FAMILIES))
     p.add_argument("--nbar", type=float, required=True)
     p.add_argument("--phi", required=True)
     p.add_argument("--kmax", type=int, default=3)

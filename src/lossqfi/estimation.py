@@ -32,6 +32,10 @@ RANK_EPS = 1e-12
 
 ROUTE_AGREEMENT = 1e-9
 BOUND_SLACK = 1e-6
+# relative roundoff of H: the eigenvalues of the evolved state fall as
+# sin(phi)^(2n), and the roundoff measured about 1.3e-16/sin(phi)^2; this is
+# 100 times that
+QFI_ROUNDOFF = 1e-14
 
 
 @dataclass(frozen=True)
@@ -117,7 +121,11 @@ def _qfi_stack(amps, loss: LossParameter) -> np.ndarray:
     over = h_pairs > bound * (1.0 + BOUND_SLACK)
     if over.any():
         i = int(np.argmax(over))
-        raise DomainError(f"QFI {h_pairs[i]} violates the energy bound {bound[i]}")
+        message = f"QFI {h_pairs[i]} violates the energy bound {bound[i]}"
+        if QFI_ROUNDOFF / math.sin(loss.phi) ** 2 > BOUND_SLACK:
+            message += (f" at phi = {loss.phi:.6g}: the QFI's roundoff at this loss exceeds "
+                        f"the bound's slack {BOUND_SLACK:g}, so phi must be raised")
+        raise DomainError(message)
     return h_pairs
 
 

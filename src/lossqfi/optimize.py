@@ -23,7 +23,7 @@ from scipy.optimize import minimize
 
 from .channel import LossParameter, _as_loss
 from .errors import DomainError
-from .estimation import _qfi_stack, qfi_of_state
+from .estimation import QFI_ROUNDOFF, _qfi_stack, qfi_of_state
 from .fock import (CutoffPolicy, FockVector, displaced_squeezed_vacuum,
                    mean_photon)
 from .montecarlo import _rep_rng
@@ -47,10 +47,6 @@ GAUSS_GRID_POINTS = 41
 GAUSS_X_TOL = 1e-6
 GAUSS_THETA_SCAN = 16
 GAUSS_THETA_TOL = 1e-9
-# relative roundoff the checks allow in H: the eigenvalues of the evolved
-# state fall as sin(phi)^(2n), and the roundoff measured about
-# 1.3e-16/sin(phi)^2; this is 100 times that
-QFI_ROUNDOFF = 1e-14
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,28 @@
 """Probe-state factory: every input family the toolkit optimizes over,
 plus the inverse coordinates used for the attainable-region analysis.
 
-Each family has a small frozen spec type and a canonical text form used by
-the command line, e.g. ``fock:n=2``, ``qutrit:nbar=0.5,beta=0.3``,
-``subtracted:eta=1.0,r=0.4``, ``cat:alpha=1.2,sign=+``.
+Each family has a small frozen spec type and one entry in ``_FAMILIES``,
+keyed by the tag of its canonical text form (``fock:n=2``,
+``qutrit:nbar=0.5,beta=0.3``, ``subtracted:eta=1.0,r=0.4``,
+``cat:alpha=1.2,sign=+``). The entry holds everything else the family is:
+the keys its text form takes, the parse from ``k=v`` text, the build of the
+state, the label, the nominal nbar and, for the families ``sweep-energy``
+takes, the energy constructor.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
+from .degauss import truncate_levels
 from .errors import DegenerateStateError, DomainError
-from .fock import (CutoffPolicy, FockVector, amplitudes_of, coherent_state,
-                   displaced_squeezed_vacuum, fock_state)
+from .fock import (CutoffPolicy, FockVector, _cut, _gaussian_amplitudes, amplitudes_of,
+                   coherent_state, displaced_squeezed_vacuum, fock_state)
 
 __all__ = [
     "Fock", "Qubit", "Qutrit", "Superposition", "Coherent", "Cat",
@@ -34,6 +40,13 @@ class Fock:
     def __post_init__(self):
         if self.n < 0 or self.n != int(self.n):
             raise DomainError("Fock index must be a non-negative integer")
+
+    @classmethod
+    def from_nbar(cls, nbar: float) -> "Fock":
+        n = int(round(nbar))
+        if abs(nbar - n) > 1e-9 or n < 1:
+            raise DomainError(f"fock family needs integer energies, got {nbar}")
+        return cls(n)
 
 
 @dataclass(frozen=True)
@@ -222,59 +235,27 @@ def _qutrit_amplitudes(nbar: float, beta, mu: float = np.pi, nu: float = np.pi) 
     ], axis=-1)
 
 
-def build_probe(spec: ProbeSpec, policy: CutoffPolicy | None = None) -> FockVector:
-    """Construct the normalized probe state for any spec family."""
-    policy = policy or CutoffPolicy()
-    if isinstance(spec, Fock):
-        return fock_state(spec.n)
-    if isinstance(spec, Qubit):
-        return FockVector(np.array([math.cos(spec.theta),
-                                    np.exp(1j * spec.varphi) * math.sin(spec.theta)]))
-    if isinstance(spec, Qutrit):
-        return FockVector(_qutrit_amplitudes(spec.nbar, spec.beta, spec.mu, spec.nu))
-    if isinstance(spec, Superposition):
-        return FockVector(np.array(spec.coefficients, dtype=complex))
-    if isinstance(spec, Coherent):
-        return coherent_state(spec.alpha, policy=policy)
-    if isinstance(spec, Cat):
-        base = coherent_state(spec.alpha, policy=policy).amplitudes
-        parity = (-1.0) ** np.arange(base.size)
-        return FockVector(base * (1.0 + spec.sign * parity))
-    if isinstance(spec, Gaussian):
-        return displaced_squeezed_vacuum(spec.eta, spec.r, spec.theta_rel, policy=policy)
-    if isinstance(spec, PhotonSubtracted):
-        from .degauss import photon_subtract
-        return photon_subtract(
-            displaced_squeezed_vacuum(spec.eta, spec.r, 0.0, policy=policy))
-    if isinstance(spec, TruncatedSubtracted):
-        from .degauss import photon_subtract, truncate_levels
-        full = photon_subtract(
-            displaced_squeezed_vacuum(spec.eta, spec.r, 0.0, policy=policy))
-        return truncate_levels(full, spec.levels)
-    raise DomainError(f"unknown probe spec {spec!r}")
+def _cat_state(alpha: float, sign: int, policy: CutoffPolicy) -> FockVector:
+    base = coherent_state(alpha, policy=policy).amplitudes
+    return FockVector(base * (1.0 + sign * (-1.0) ** np.arange(base.size)))
 
 
-def nominal_nbar(spec: ProbeSpec) -> float | None:
-    """Declared mean photon number, when the family fixes one in closed form."""
-    if isinstance(spec, Fock):
-        return float(spec.n)
-    if isinstance(spec, Qubit):
-        return math.sin(spec.theta) ** 2
-    if isinstance(spec, Qutrit):
-        return spec.nbar
-    if isinstance(spec, Superposition):
-        return float(sum(m * abs(c) ** 2 for m, c in enumerate(spec.coefficients)))
-    if isinstance(spec, Coherent):
-        return abs(spec.alpha) ** 2
-    if isinstance(spec, Cat):
-        return cat_mean_photon(spec.alpha, spec.sign)
-    if isinstance(spec, Gaussian):
-        return abs(spec.eta) ** 2 + math.sinh(spec.r) ** 2
-    return None
+def _subtracted_state(eta: float, r: float, policy: CutoffPolicy) -> FockVector:
+    """a D(eta) S(r)|0>, normalized and cut on its own tail.
+
+    Level n is sqrt(n+1) c_{n+1}, with c_n the amplitudes of D(eta) S(r)|0>,
+    and the exact norm is sqrt(<a+ a>) = sqrt(|eta|^2 + sinh(r)^2), so the
+    tail beyond a cutoff needs no levels above the cap.
+    """
+    norm = math.hypot(abs(eta), math.sinh(r))
+    if norm == 0.0:
+        raise DegenerateStateError("photon subtraction annihilates the vacuum")
+    c = _gaussian_amplitudes(eta, r, 0.0, policy.cap + 1)
+    return _cut(np.sqrt(np.arange(1, policy.cap + 1)) * c[1:] / norm, policy)
 
 
 # ---------------------------------------------------------------------------
-# canonical text forms
+# canonical text forms and the family table
 
 def _parse_kv(family: str, body: str, keys) -> dict:
     """The ``k=v`` pairs of a comma list, rejecting keys outside ``keys``."""
@@ -316,81 +297,121 @@ def _fnum(text: str) -> float:
         raise DomainError(f"cannot parse number {text!r}") from exc
 
 
-# the keys each family's text form takes
-_PROBE_KEYS = {
-    "fock": ("n",), "qubit": ("theta", "nbar", "varphi"),
-    "qutrit": ("nbar", "beta", "mu", "nu"), "superposition": ("c",),
-    "coherent": ("alpha",), "cat": ("alpha", "sign"),
-    "gaussian": ("eta", "r", "theta"), "subtracted": ("eta", "r"),
-    "truncsub": ("eta", "r", "levels"),
+def _parse_qubit(kv: dict) -> Qubit:
+    varphi = _fnum(kv.get("varphi", "0"))
+    if "theta" in kv and "nbar" in kv:
+        raise DomainError("qubit takes theta or nbar, not both")
+    if "theta" in kv:
+        return Qubit(_fnum(kv["theta"]), varphi)
+    return Qubit.from_nbar(_fnum(kv["nbar"]), varphi)
+
+
+_CAT_SIGNS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
+
+
+def _real_or_complex(value: complex) -> str:
+    return f"{value.real:.12g}" if value.imag == 0 else f"{value:.12g}"
+
+
+# One probe family: its spec type, the keys its text form takes, its parse
+# from those k=v pairs, its build, its canonical label, its nominal nbar (None
+# where no closed form is declared) and, for the families sweep-energy takes,
+# its constructor at a given nbar. _FAMILIES keys them by text tag.
+_Family = namedtuple("_Family", "spec keys parse build label nbar from_nbar",
+                     defaults=(lambda spec: None, None))
+_FAMILIES = {
+    "fock": _Family(
+        Fock, ("n",), parse=lambda kv: Fock(int(kv["n"])),
+        build=lambda s, policy: fock_state(s.n),
+        label=lambda s: f"fock:n={s.n}",
+        nbar=lambda s: float(s.n), from_nbar=Fock.from_nbar),
+    "qubit": _Family(
+        Qubit, ("theta", "nbar", "varphi"), parse=_parse_qubit,
+        build=lambda s, policy: FockVector(np.array(
+            [math.cos(s.theta), np.exp(1j * s.varphi) * math.sin(s.theta)])),
+        label=lambda s: f"qubit:theta={s.theta:.12g},varphi={s.varphi:.12g}",
+        nbar=lambda s: math.sin(s.theta) ** 2, from_nbar=Qubit.from_nbar),
+    "qutrit": _Family(
+        Qutrit, ("nbar", "beta", "mu", "nu"),
+        parse=lambda kv: Qutrit(_fnum(kv["nbar"]), _fnum(kv["beta"]),
+                                _fnum(kv.get("mu", "pi")), _fnum(kv.get("nu", "pi"))),
+        build=lambda s, policy: FockVector(_qutrit_amplitudes(s.nbar, s.beta, s.mu, s.nu)),
+        label=lambda s: (f"qutrit:nbar={s.nbar:.12g},beta={s.beta:.12g},"
+                         f"mu={s.mu:.12g},nu={s.nu:.12g}"),
+        nbar=lambda s: s.nbar),
+    "superposition": _Family(
+        Superposition, ("c",),
+        parse=lambda kv: Superposition([complex(c) for c in kv["c"].split("/")]),
+        build=lambda s, policy: FockVector(np.array(s.coefficients, dtype=complex)),
+        label=lambda s: "superposition:c=" + "/".join(
+            f"{c.real:.12g}{c.imag:+.12g}j" for c in s.coefficients),
+        nbar=lambda s: float(sum(m * abs(c) ** 2 for m, c in enumerate(s.coefficients)))),
+    "coherent": _Family(
+        Coherent, ("alpha",), parse=lambda kv: Coherent(complex(kv["alpha"])),
+        build=lambda s, policy: coherent_state(s.alpha, policy=policy),
+        label=lambda s: f"coherent:alpha={_real_or_complex(s.alpha)}",
+        nbar=lambda s: abs(s.alpha) ** 2,
+        from_nbar=lambda nbar: Coherent(math.sqrt(nbar))),
+    "cat": _Family(
+        Cat, ("alpha", "sign"),
+        parse=lambda kv: Cat(_fnum(kv["alpha"]), _CAT_SIGNS[kv.get("sign", "+")]),
+        build=lambda s, policy: _cat_state(s.alpha, s.sign, policy),
+        label=lambda s: f"cat:alpha={s.alpha:.12g},sign={'+' if s.sign > 0 else '-'}",
+        nbar=lambda s: cat_mean_photon(s.alpha, s.sign)),
+    "gaussian": _Family(
+        Gaussian, ("eta", "r", "theta"),
+        parse=lambda kv: Gaussian(complex(kv.get("eta", "0")), _fnum(kv.get("r", "0")),
+                                  _fnum(kv.get("theta", "0"))),
+        build=lambda s, policy: displaced_squeezed_vacuum(s.eta, s.r, s.theta_rel,
+                                                          policy=policy),
+        label=lambda s: (f"gaussian:eta={_real_or_complex(s.eta)},r={s.r:.12g},"
+                         f"theta={s.theta_rel:.12g}"),
+        nbar=lambda s: abs(s.eta) ** 2 + math.sinh(s.r) ** 2),
+    "subtracted": _Family(
+        PhotonSubtracted, ("eta", "r"),
+        parse=lambda kv: PhotonSubtracted(_fnum(kv["eta"]), _fnum(kv["r"])),
+        build=lambda s, policy: _subtracted_state(s.eta, s.r, policy),
+        label=lambda s: f"subtracted:eta={s.eta:.12g},r={s.r:.12g}"),
+    "truncsub": _Family(
+        TruncatedSubtracted, ("eta", "r", "levels"),
+        parse=lambda kv: TruncatedSubtracted(_fnum(kv["eta"]), _fnum(kv["r"]),
+                                             int(kv.get("levels", "3"))),
+        build=lambda s, policy: truncate_levels(_subtracted_state(s.eta, s.r, policy),
+                                                s.levels),
+        label=lambda s: f"truncsub:eta={s.eta:.12g},r={s.r:.12g},levels={s.levels}"),
 }
+_FAMILY_OF = {family.spec: family for family in _FAMILIES.values()}
+
+
+def _family(spec: ProbeSpec) -> _Family:
+    if type(spec) not in _FAMILY_OF:
+        raise DomainError(f"unknown probe spec {spec!r}")
+    return _FAMILY_OF[type(spec)]
+
+
+def build_probe(spec: ProbeSpec, policy: CutoffPolicy | None = None) -> FockVector:
+    """Construct the normalized probe state for any spec family."""
+    return _family(spec).build(spec, policy or CutoffPolicy())
+
+
+def nominal_nbar(spec: ProbeSpec) -> float | None:
+    """Declared mean photon number, when the family fixes one in closed form."""
+    return _family(spec).nbar(spec)
 
 
 def parse_probe(text: str) -> ProbeSpec:
     """Parse the canonical probe text form, e.g. ``qutrit:nbar=0.5,beta=0.3``."""
-    if ":" in text:
-        family, body = text.split(":", 1)
-    else:
-        family, body = text, ""
+    family, _, body = text.partition(":")
     family = family.strip().lower()
-    if family not in _PROBE_KEYS:
+    if family not in _FAMILIES:
         raise DomainError(f"unknown probe family {family!r}")
-    kv = _parse_kv(family, body, _PROBE_KEYS[family])
+    kv = _parse_kv(family, body, _FAMILIES[family].keys)
     try:
-        if family == "fock":
-            return Fock(int(kv["n"]))
-        if family == "qubit":
-            varphi = _fnum(kv.get("varphi", "0"))
-            if "theta" in kv and "nbar" in kv:
-                raise DomainError("qubit takes theta or nbar, not both")
-            if "theta" in kv:
-                return Qubit(_fnum(kv["theta"]), varphi)
-            return Qubit.from_nbar(_fnum(kv["nbar"]), varphi)
-        if family == "qutrit":
-            return Qutrit(_fnum(kv["nbar"]), _fnum(kv["beta"]),
-                          _fnum(kv.get("mu", "pi")), _fnum(kv.get("nu", "pi")))
-        if family == "superposition":
-            coeffs = [complex(c) for c in kv["c"].split("/")]
-            return Superposition(coeffs)
-        if family == "coherent":
-            return Coherent(complex(kv["alpha"]))
-        if family == "cat":
-            sign = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}[kv.get("sign", "+")]
-            return Cat(_fnum(kv["alpha"]), sign)
-        if family == "gaussian":
-            return Gaussian(complex(kv.get("eta", "0")), _fnum(kv.get("r", "0")),
-                            _fnum(kv.get("theta", "0")))
-        if family == "subtracted":
-            return PhotonSubtracted(_fnum(kv["eta"]), _fnum(kv["r"]))
-        if family == "truncsub":
-            return TruncatedSubtracted(_fnum(kv["eta"]), _fnum(kv["r"]),
-                                       int(kv.get("levels", "3")))
+        return _FAMILIES[family].parse(kv)
     except (KeyError, ValueError) as exc:
         raise DomainError(f"bad probe spec {text!r}: {exc}") from exc
 
 
 def probe_label(spec: ProbeSpec) -> str:
     """Canonical text form of a spec (inverse of parse_probe up to formatting)."""
-    if isinstance(spec, Fock):
-        return f"fock:n={spec.n}"
-    if isinstance(spec, Qubit):
-        return f"qubit:theta={spec.theta:.12g},varphi={spec.varphi:.12g}"
-    if isinstance(spec, Qutrit):
-        return (f"qutrit:nbar={spec.nbar:.12g},beta={spec.beta:.12g},"
-                f"mu={spec.mu:.12g},nu={spec.nu:.12g}")
-    if isinstance(spec, Superposition):
-        parts = "/".join(f"{c.real:.12g}{c.imag:+.12g}j" for c in spec.coefficients)
-        return f"superposition:c={parts}"
-    if isinstance(spec, Coherent):
-        return f"coherent:alpha={spec.alpha.real:.12g}" if spec.alpha.imag == 0 \
-            else f"coherent:alpha={spec.alpha:.12g}"
-    if isinstance(spec, Cat):
-        return f"cat:alpha={spec.alpha:.12g},sign={'+' if spec.sign > 0 else '-'}"
-    if isinstance(spec, Gaussian):
-        eta = f"{spec.eta.real:.12g}" if spec.eta.imag == 0 else f"{spec.eta:.12g}"
-        return f"gaussian:eta={eta},r={spec.r:.12g},theta={spec.theta_rel:.12g}"
-    if isinstance(spec, PhotonSubtracted):
-        return f"subtracted:eta={spec.eta:.12g},r={spec.r:.12g}"
-    if isinstance(spec, TruncatedSubtracted):
-        return f"truncsub:eta={spec.eta:.12g},r={spec.r:.12g},levels={spec.levels}"
-    raise DomainError(f"unknown probe spec {spec!r}")
+    return _family(spec).label(spec)

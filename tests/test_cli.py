@@ -1,10 +1,15 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lossqfi
 from lossqfi.cli import _write_table, main
 
 
@@ -100,6 +105,33 @@ class TestOptimizeCommand:
         assert record["converged"] == "true"
 
 
+class TestOptimizerEntries:
+    @pytest.mark.parametrize("family,tag,params", [
+        ("qutrit", "qutrit_opt", ""),
+        ("gaussian", "gaussian_opt", ""),
+        ("superposition", "superposition_k", "k=2"),
+        ("cat", "cat_best", ""),
+    ])
+    def test_three_commands_agree(self, tmp_path, family, tag, params):
+        # optimize, sweep-phi and sweep-energy reach each optimizer through
+        # the same table entry, so all three print the same H at one point
+        nbar, phi = "0.5", "0.6"
+        _, text = run(tmp_path, "optimize", "--family", family, "--kmax", "2",
+                      "--nbar", nbar, "--phi", phi)
+        header, row = (ln.split(",") for ln in text.strip().split("\n"))
+        best = dict(zip(header, row))["best_qfi"]
+        spec = ",".join(p for p in (f"nbar={nbar}", params) if p)
+        _, text = run(tmp_path, "sweep-phi", "--families", f"{tag}:{spec}",
+                      "--phi", f"{phi}:1.2:2")
+        by_phi = text.strip().split("\n")[1].rsplit(",", 4)
+        energy = f"{tag}:{params}" if params else tag
+        _, text = run(tmp_path, "sweep-energy", "--families", energy,
+                      "--nbar", f"{nbar}:1:2", "--phi", phi)
+        by_energy = text.strip().split("\n")[1].rsplit(",", 4)
+        assert (by_phi[1], by_energy[1], by_energy[2]) == (phi, nbar, phi)
+        assert by_phi[3] == by_energy[3] == best
+
+
 class TestSldDump:
     def test_fock_probe_rows(self, tmp_path):
         code, text = run(tmp_path, "sld-dump", "fock:n=2", "--phi", "0.6")
@@ -185,6 +217,39 @@ class TestBadInput:
         code, text = run(tmp_path, *argv)
         assert (code, text) == (1, "")
         assert message in capsys.readouterr().err
+
+
+    def test_energy_bound_at_tiny_loss_names_its_cause(self, tmp_path, capsys):
+        code, text = run(tmp_path, "optimize", "--family", "superposition",
+                         "--kmax", "3", "--nbar", "0.3", "--phi", "1e-5",
+                         "--phi-min", "1e-6")
+        assert (code, text) == (1, "")
+        err = capsys.readouterr().err
+        assert "violates the energy bound" in err
+        assert ("at phi = 1e-05: the QFI's roundoff at this loss exceeds the bound's "
+                "slack 1e-06, so phi must be raised") in err
+
+
+class TestDeterminism:
+    @pytest.mark.parametrize("argv", [
+        ("sld-dump", "gaussian:eta=1,r=1", "--phi", "0.6"),
+        ("sweep-phi", "--families", "fock:n=2,gaussian:eta=1,r=1,subtracted:eta=1,r=0.4",
+         "--phi", "0.2:1.4:4"),
+    ])
+    def test_output_is_independent_of_the_blas_thread_count(self, argv):
+        src = str(Path(lossqfi.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            done = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from lossqfi.cli import main; sys.exit(main(sys.argv[1:]))",
+                 *argv], env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count("\n") > 4
 
 
 class TestFormats:

@@ -8,6 +8,8 @@ from lossqfi import (Coherent, CutoffPolicy, DomainError, Fock, FockVector,
                      closed_form_qfi, cramer_rao, drho_dphi, evolve,
                      fock_state, optimal_measurement, qfi, qfi_of_state, sld)
 
+from lossqfi import estimation
+
 PHI_GRID = np.linspace(1e-3, math.pi / 2 - 1e-3, 25)
 
 
@@ -116,6 +118,19 @@ class TestQFI:
             phi = float(rng.choice(phis))
             h = qfi_of_state(state, phi)
             assert h <= 4.0 * nbar * (1.0 + 1e-6)
+
+    def test_planted_bound_violation_keeps_the_plain_message(self, monkeypatch):
+        # doubling both routes leaves them in agreement but puts H = 8 over
+        # the bound 4 nbar = 4 of |1>; at phi = 0.7 roundoff is no excuse
+        frame = estimation._sld_frame
+
+        def doubled(rho, drho, trace):
+            h_pairs, h_trace, vecs, sld_eig = frame(rho, drho, trace)
+            return 2.0 * h_pairs, 2.0 * h_trace, vecs, sld_eig
+
+        monkeypatch.setattr(estimation, "_sld_frame", doubled)
+        with pytest.raises(DomainError, match=r"^QFI 8\S* violates the energy bound 4\S*$"):
+            qfi_of_state(fock_state(1), 0.7)
 
     def test_report_fields(self):
         report = qfi(Fock(2), 0.6, runs=100)

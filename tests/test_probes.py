@@ -6,9 +6,31 @@ import pytest
 from lossqfi import (Cat, Coherent, DomainError, Fock, Gaussian,
                      PhotonSubtracted, Qubit, Qutrit, Superposition,
                      TruncatedSubtracted, build_probe, coherent_state,
-                     mean_photon, nominal_nbar, parse_probe, probe_label,
+                     mean_photon, nominal_nbar, parse_probe, probe_label, qfi,
                      qutrit_coords, truncated_subtracted_coeffs)
 from lossqfi.errors import DegenerateStateError
+from lossqfi.probes import _FAMILIES
+
+
+def _subtracted_nbar(eta, r, levels=None):
+    """Closed-form <a+ a> of the normalized a D(eta) S(r)|0>, eta and r real.
+
+    All levels: <a+2 a2> / <a+ a> from the Gaussian moments of a = eta + b,
+    with <b+ b> = sinh^2 r and <b^2> = -sinh r cosh r. Kept on its lowest
+    ``levels`` levels: level n has weight (n+1) |<n+1|D S|0>|^2, where
+    <n|D S|0> is proportional to h_n / sqrt(n!) with the scaled Hermite terms
+    h_0 = 1, h_1 = eta (1 + tanh r), h_{n+1} = h_1 h_n - n tanh(r) h_{n-1}.
+    """
+    if levels is None:
+        n_sq, m = math.sinh(r) ** 2, -math.sinh(r) * math.cosh(r)
+        e2 = eta * eta
+        return (e2 * e2 + 2 * e2 * m + 4 * e2 * n_sq + m * m + 2 * n_sq * n_sq) / (e2 + n_sq)
+    t = math.tanh(r)
+    h = [1.0, eta * (1.0 + t)]
+    for n in range(1, levels):
+        h.append(h[1] * h[n] - n * t * h[n - 1])
+    weight = [(n + 1) * h[n + 1] ** 2 / math.factorial(n + 1) for n in range(levels)]
+    return sum(n * w for n, w in enumerate(weight)) / sum(weight)
 
 
 class TestBuildProbe:
@@ -66,9 +88,26 @@ class TestBuildProbe:
         (Cat(0.9, +1), 1e-6),
         (Cat(0.9, -1), 1e-6),
         (Gaussian(0.8, -0.4, 0.3), 1e-6),
+        (PhotonSubtracted(0.421, -1.0), 2e-8),
+        (PhotonSubtracted(1.2, 0.5), 2e-8),
+        (TruncatedSubtracted(0.421, -1.0, 3), 1e-12),
+        (TruncatedSubtracted(1.0, 0.4, 4), 1e-12),
     ])
     def test_energy_consistency(self, spec, tol):
-        assert mean_photon(build_probe(spec)) == pytest.approx(nominal_nbar(spec), abs=tol)
+        expected = nominal_nbar(spec)
+        if expected is None:
+            expected = _subtracted_nbar(spec.eta, spec.r, getattr(spec, "levels", None))
+        assert mean_photon(build_probe(spec)) == pytest.approx(expected, abs=tol)
+
+    def test_subtraction_keeps_the_level_above_a_short_cutoff(self):
+        # a D(eta)|0> = eta |eta>: two levels carry the whole state here
+        report = qfi(PhotonSubtracted(0.001, 0.0), math.pi / 4)
+        assert report.nbar == pytest.approx(1e-6, abs=1e-11)
+        assert report.qfi == pytest.approx(2e-6, abs=1e-11)
+
+    def test_subtraction_from_the_vacuum_is_degenerate(self):
+        with pytest.raises(DegenerateStateError):
+            build_probe(PhotonSubtracted(0.0, 0.0))
 
 
 class TestTruncatedSubtractedCoeffs:
@@ -162,8 +201,12 @@ class TestTextForms:
         assert abs(spec.coefficients[2] - 0.8j / math.sqrt(0.36 + 0.64)) < 1e-12
 
     def test_label_roundtrip(self):
-        for text in ["fock:n=3", "qutrit:nbar=0.5,beta=0.3",
-                     "cat:alpha=1.2,sign=-", "subtracted:eta=1,r=0.4"]:
+        examples = ["fock:n=3", "qubit:theta=0.4,varphi=0.3", "qutrit:nbar=0.5,beta=0.3",
+                    "superposition:c=0.6/0.3j/0.7-0.2j", "coherent:alpha=0.5+0.6j",
+                    "cat:alpha=1.2,sign=-", "gaussian:eta=0.5-0.2j,r=-0.2,theta=0.1",
+                    "subtracted:eta=1,r=0.4", "truncsub:eta=1,r=0.4,levels=4"]
+        assert sorted(text.split(":")[0] for text in examples) == sorted(_FAMILIES)
+        for text in examples:
             spec = parse_probe(text)
             again = parse_probe(probe_label(spec))
             assert build_probe(spec).amplitudes == pytest.approx(
