@@ -150,9 +150,11 @@ def _kraus_images(amps: np.ndarray, loss: LossParameter) -> np.ndarray:
     sq = np.sqrt(np.arange(1, d))
     keep = np.cumsum(np.abs(amps[..., ::-1]) ** 2, axis=-1)[..., ::-1] >= _KRAUS_TERM_FLOOR
     keep[..., 0] = True
-    cols = np.zeros(amps.shape + (d,), dtype=complex)
+    # real probes keep real images; everything else is complex
+    dtype = np.result_type(amps.dtype, float)
+    cols = np.zeros(amps.shape + (d,), dtype=dtype)
     # t holds the levels below d - n of a^n psi scaled by s^n / sqrt(n!)
-    t = amps.astype(complex)
+    t = amps.astype(dtype)
     cols[..., 0] = cpow * t
     for n in range(1, d):
         if not keep[..., n].any():
@@ -203,6 +205,21 @@ def evolve(rho, phi) -> DensityOperator:
     return DensityOperator(out)
 
 
+def _loss_generator(m: np.ndarray, phi: float, adjoint: bool = False) -> np.ndarray:
+    """tan(phi) (2 a m a+ - N m - m N) on a (..., D, D) stack, in the dtype of
+    m; with ``adjoint`` its adjoint under Tr[X+ Y], tan(phi) (2 a+ m a - N m - m N)."""
+    d = m.shape[-1]
+    levels = np.arange(d)
+    shifted = np.zeros_like(m)
+    if d > 1:
+        root = np.sqrt(np.outer(levels[1:], levels[1:]))
+        if adjoint:
+            shifted[..., 1:, 1:] = m[..., :-1, :-1] * root
+        else:
+            shifted[..., :-1, :-1] = m[..., 1:, 1:] * root
+    return math.tan(phi) * (2.0 * shifted - levels[:, None] * m - m * levels[None, :])
+
+
 def drho_dphi(rho_phi, phi) -> np.ndarray:
     """Analytic derivative of the evolved state with respect to phi.
 
@@ -210,11 +227,4 @@ def drho_dphi(rho_phi, phi) -> np.ndarray:
     propagated to phi, or on a (..., D, D) stack of such states; the result
     is traceless and Hermitian.
     """
-    m = matrix_of(rho_phi)
-    d = m.shape[-1]
-    levels = np.arange(d)
-    lowered = np.zeros_like(m)
-    if d > 1:
-        lowered[..., :-1, :-1] = m[..., 1:, 1:] * np.sqrt(np.outer(levels[1:], levels[1:]))
-    p = _as_loss(phi).phi
-    return math.tan(p) * (2.0 * lowered - levels[:, None] * m - m * levels[None, :])
+    return _loss_generator(matrix_of(rho_phi), _as_loss(phi).phi)

@@ -90,6 +90,8 @@ def _parse_range(text: str) -> np.ndarray:
         raise ConfigError(f"bad range {text!r}: {exc}") from exc
     if count < 2:
         raise ConfigError("range needs at least 2 points")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"bad range {text!r}: its ends must be finite")
     return np.linspace(start, stop, count)
 
 
@@ -145,6 +147,15 @@ _OPTIMIZER_FAMILIES = {opt.family: opt for opt in _OPTIMIZERS}
 _OPTIMIZER_TAGS = {opt.tag: opt for opt in _OPTIMIZERS}
 
 
+def _order(kv: dict) -> int:
+    """The superposition order k of a sweep tag (3 when absent)."""
+    text = kv.get("k", "3")
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"superposition order k={text!r} is not an integer") from None
+
+
 def _sweep_phi_rows(family: str, phis, args):
     policy = _policy(args)
     head, _, body = family.partition(":")
@@ -160,7 +171,7 @@ def _sweep_phi_rows(family: str, phis, args):
     nbar = _fnum(kv["nbar"])
     rows = []
     for p in phis:
-        res = opt.run(nbar, _loss(p, args), int(kv.get("k", "3")), args.seed, policy)
+        res = opt.run(nbar, _loss(p, args), _order(kv), args.seed, policy)
         rows.append([family, p, res.nbar, res.best_qfi, 4.0 * res.nbar])
     return rows
 
@@ -182,7 +193,7 @@ def _sweep_energy_value(tag: str, nbar: float, loss, args):
     opt = _OPTIMIZER_TAGS.get(head)
     if opt is not None:
         kv = _parse_kv(head, body, opt.keys)
-        return opt.run(nbar, loss, int(kv.get("k", "3")), args.seed, policy).best_qfi
+        return opt.run(nbar, loss, _order(kv), args.seed, policy).best_qfi
     if head not in _FAMILIES or _FAMILIES[head].from_nbar is None:
         raise ConfigError(f"unknown energy-sweep family {tag!r}")
     _parse_kv(head, body, ())

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LossParameter, _as_loss, _kraus_images, drho_dphi, evolve
+from .channel import (LossParameter, _as_loss, _kraus_images, _loss_generator,
+                      drho_dphi, evolve)
 from .errors import DomainError
 from .fock import (TRACE_TOL, CutoffPolicy, Spectrum, amplitudes_of,
                    hermitian_eig, matrix_of, mean_photon)
@@ -94,31 +95,35 @@ def _sld_frame(rho, drho, trace):
     return h_pairs, h_trace, vecs, sld_eig
 
 
-def _qfi_stack(amps, loss: LossParameter) -> np.ndarray:
-    """QFI of every pure probe in a (B, D) amplitude stack at one loss angle.
+def _checked_frame(amps, loss: LossParameter):
+    """The QFI core over a (B, D) amplitude stack at one loss angle.
 
     Propagates each probe through the channel (rho = C C+ over its Kraus
     images C), checks its trace, and computes both the pairwise sum over
     eigenpairs and Tr[rho L^2]. Every element must pass the route agreement
-    and the energy bound H <= 4 nbar; returns the pairwise sums, which never
-    divide by a lone vanishing eigenvalue.
+    and the energy bound H <= 4 nbar; every check is written so that a NaN
+    fails it. Real amplitudes keep every array real. Returns the pairwise
+    sums, which never divide by a lone vanishing eigenvalue, with the Kraus
+    images, the eigenvectors of rho and the SLD in their frame.
     """
-    amps = np.asarray(amps, dtype=complex)
+    amps = np.asarray(amps, dtype=complex if np.iscomplexobj(amps) else float)
+    if not np.isfinite(amps).all():
+        raise DomainError("probe amplitudes must be finite")
     cols = _kraus_images(amps, loss)
     rho = cols @ _dagger(cols)
     rho = 0.5 * (rho + _dagger(rho))
     trace = np.trace(rho, axis1=-2, axis2=-1).real
-    off = np.abs(trace - 1.0) > TRACE_TOL
+    off = ~(np.abs(trace - 1.0) <= TRACE_TOL)
     if off.any():
         raise DomainError(f"trace {trace[off][0]!r} deviates from 1 beyond {TRACE_TOL}")
-    h_pairs, h_trace, _, _ = _sld_frame(rho, drho_dphi(rho, loss), trace)
+    h_pairs, h_trace, vecs, sld_eig = _sld_frame(rho, _loss_generator(rho, loss.phi), trace)
     scale = np.maximum(np.maximum(np.abs(h_pairs), np.abs(h_trace)), 1e-9)
-    split = np.abs(h_pairs - h_trace) > ROUTE_AGREEMENT * scale
+    split = ~(np.abs(h_pairs - h_trace) <= ROUTE_AGREEMENT * scale)
     if split.any():
         i = int(np.argmax(split))
         raise ArithmeticError(f"QFI routes disagree: {h_pairs[i]} vs {h_trace[i]}")
     bound = 4.0 * (np.abs(amps) ** 2 @ np.arange(amps.shape[-1]))
-    over = h_pairs > bound * (1.0 + BOUND_SLACK)
+    over = ~(h_pairs <= bound * (1.0 + BOUND_SLACK))
     if over.any():
         i = int(np.argmax(over))
         message = f"QFI {h_pairs[i]} violates the energy bound {bound[i]}"
@@ -126,7 +131,32 @@ def _qfi_stack(amps, loss: LossParameter) -> np.ndarray:
             message += (f" at phi = {loss.phi:.6g}: the QFI's roundoff at this loss exceeds "
                         f"the bound's slack {BOUND_SLACK:g}, so phi must be raised")
         raise DomainError(message)
-    return h_pairs
+    return h_pairs, cols, vecs, sld_eig
+
+
+def _qfi_stack(amps, loss: LossParameter) -> np.ndarray:
+    """QFI of every pure probe in a (B, D) amplitude stack at one loss angle,
+    checked by :func:`_checked_frame`."""
+    return _checked_frame(amps, loss)[0]
+
+
+def _qfi_grad_stack(amps, loss: LossParameter):
+    """QFI and its gradient in the amplitudes, for a (B, D) stack of real probes.
+
+    By the SLD variational principle H = max_X 2 Tr[X drho] - Tr[rho X^2],
+    attained at the SLD L, so the envelope theorem gives the gradient at
+    fixed L: dH/dc = 2 sum_n K_n+ G K_n c with G = 2 D+(L) - L^2, where
+    D+(L) = tan(phi) (2 a+ L a - N L - L N) is the adjoint of drho_dphi.
+    K_n c are the Kraus images the core already holds, and
+    K_n+ = (s^n / sqrt(n!)) (a+)^n cos(phi)^N comes from the images of the
+    basis states. Returns (H, gradient); H is :func:`_qfi_stack`'s.
+    """
+    h, cols, vecs, sld_eig = _checked_frame(np.asarray(amps, dtype=float), loss)
+    sld_fock = vecs @ sld_eig @ _dagger(vecs)
+    g = 2.0 * _loss_generator(sld_fock, loss.phi, adjoint=True) - sld_fock @ sld_fock
+    # kraus[j, i, n] = <i| K_n |j>
+    kraus = _kraus_images(np.eye(cols.shape[-1]), loss)
+    return h, 2.0 * np.einsum("bin,jin->bj", g @ cols, kraus)
 
 
 def qfi_of_state(state, phi) -> float:

@@ -56,6 +56,8 @@ class FockVector:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.ndim != 1 or amps.size < 1:
             raise DomainError("state needs a one-dimensional, non-empty amplitude vector")
+        if not np.isfinite(amps).all():
+            raise DomainError("state amplitudes must be finite")
         norm = np.linalg.norm(amps)
         if norm < 1e-15:
             raise DegenerateStateError("cannot normalize the zero vector")

@@ -211,9 +211,9 @@ def cat_alpha_for_energy(nbar: float, sign: int) -> float:
     """
     from scipy.optimize import brentq
     if sign > 0:
-        if nbar <= 0:
+        if not nbar > 0:
             raise DomainError("even cat needs nbar > 0")
-    elif nbar <= 1.0:
+    elif not nbar > 1.0:
         raise DomainError("odd cat energy is always above 1")
     lo, hi = 1e-6, 1.0
     while cat_mean_photon(hi, sign) < nbar:
@@ -306,6 +306,12 @@ def _parse_qubit(kv: dict) -> Qubit:
     return Qubit.from_nbar(_fnum(kv["nbar"]), varphi)
 
 
+def _coherent_from_nbar(nbar: float) -> Coherent:
+    if not nbar >= 0.0:
+        raise DomainError(f"coherent energy must be non-negative, got {nbar}")
+    return Coherent(math.sqrt(nbar))
+
+
 _CAT_SIGNS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
 
 
@@ -351,7 +357,7 @@ _FAMILIES = {
         build=lambda s, policy: coherent_state(s.alpha, policy=policy),
         label=lambda s: f"coherent:alpha={_real_or_complex(s.alpha)}",
         nbar=lambda s: abs(s.alpha) ** 2,
-        from_nbar=lambda nbar: Coherent(math.sqrt(nbar))),
+        from_nbar=_coherent_from_nbar),
     "cat": _Family(
         Cat, ("alpha", "sign"),
         parse=lambda kv: Cat(_fnum(kv["alpha"]), _CAT_SIGNS[kv.get("sign", "+")]),

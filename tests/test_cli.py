@@ -219,6 +219,26 @@ class TestBadInput:
         assert message in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("argv,message", [
+        (("sweep-phi", "--families", "superposition_k:k=x,nbar=0.5", "--phi", "0.3:0.5:2"),
+         "superposition order k='x' is not an integer"),
+        (("sweep-energy", "--families", "coherent", "--nbar=-1:1:3", "--phi", "0.5"),
+         "coherent energy must be non-negative, got -1.0"),
+        (("sweep-energy", "--families", "coherent", "--nbar=nan:1:3", "--phi", "0.5"),
+         "bad range 'nan:1:3': its ends must be finite"),
+        (("optimize", "--family", "cat", "--nbar", "nan", "--phi", "0.5"),
+         "no cat state exists at nbar=nan"),
+        (("optimize", "--family", "gaussian", "--nbar", "nan", "--phi", "0.5"),
+         "energy must be positive"),
+    ])
+    def test_bad_values_exit_with_a_message(self, tmp_path, capsys, argv, message):
+        # a bad order, a negative or NaN energy or a non-finite range end is
+        # named, not raised from int(), math.sqrt or brentq as a traceback, or
+        # reported as a cutoff overflow
+        code, text = run(tmp_path, *argv)
+        assert code in (1, 2) and text == ""
+        assert message in capsys.readouterr().err
+
     def test_energy_bound_at_tiny_loss_names_its_cause(self, tmp_path, capsys):
         code, text = run(tmp_path, "optimize", "--family", "superposition",
                          "--kmax", "3", "--nbar", "0.3", "--phi", "1e-5",

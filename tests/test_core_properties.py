@@ -1,4 +1,5 @@
-"""Property tests of the stacked QFI core and of the real-slice chart.
+"""Property tests of the stacked QFI core, its gradient route, the
+real-slice chart and the search that runs on it.
 
 The core is checked against a dense reference, and for the two symmetries
 the fixed-energy optimizers rely on: the loss channel commutes with
@@ -27,7 +28,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from lossqfi import LossParameter  # noqa: E402
-from lossqfi.estimation import RANK_EPS, _qfi_stack  # noqa: E402
+from lossqfi import optimize  # noqa: E402
+from lossqfi.estimation import RANK_EPS, _qfi_grad_stack, _qfi_stack  # noqa: E402
 from lossqfi.optimize import _slice_coords, _slice_point  # noqa: E402
 
 
@@ -111,8 +113,63 @@ def chart_points(draw):
 def test_slice_chart_lands_on_the_slice_and_inverts(point):
     u, nbar = point
     c = _slice_point(u, nbar)
-    hypothesis.assume(c is not None)
+    hypothesis.assume(np.any(c))
     assert abs(np.sum(c ** 2) - 1.0) <= 1e-12
     assert abs(np.sum(np.arange(c.size) * c ** 2) - nbar) <= 1e-12
     assert c[np.flatnonzero(c)[0]] > 0
     assert np.max(np.abs(_slice_point(_slice_coords(c, nbar), nbar) - c)) <= 1e-12
+
+
+@st.composite
+def real_stacks(draw):
+    batch = draw(st.integers(1, 6))
+    dim = draw(st.integers(1, 8))
+    amps = draw(hnp.arrays(float, (batch, dim),
+                           elements=st.floats(-1.0, 1.0, allow_nan=False)))
+    norms = np.linalg.norm(amps, axis=1)
+    hypothesis.assume(np.all(norms > 1e-3))
+    phi = draw(st.floats(0.2, math.pi / 2 - 1e-3))
+    return amps / norms[:, None], phi
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(real_stacks())
+def test_gradient_route_matches_central_differences(stack):
+    # H is only defined on normalized probes, so the differences run along
+    # the circle through c in each tangent direction e_j - c_j c; the
+    # gradient's radial part is fixed by H(lam c) = lam^2 H(c): c.g = 2H
+    amps, phi = stack
+    loss = LossParameter(phi)
+    h, grad = _qfi_grad_stack(amps, loss)
+    assert np.array_equal(h, _qfi_stack(amps, loss))
+    assert np.all(np.abs(np.sum(amps * grad, axis=1) - 2.0 * h)
+                  <= 1e-12 * np.maximum(h, 1.0))
+    step = 1e-4
+    for j in range(amps.shape[1]):
+        tangent = np.eye(amps.shape[1])[j] - amps[:, j:j + 1] * amps
+
+        def along(t):
+            moved = amps + t * tangent
+            return _qfi_stack(moved / np.linalg.norm(moved, axis=1, keepdims=True), loss)
+
+        # Richardson-extrapolated central difference, error O(step^4)
+        diff = [(along(t) - along(-t)) / (2.0 * t) for t in (step, step / 2)]
+        numeric = (4.0 * diff[1] - diff[0]) / 3.0
+        exact = np.sum(grad * tangent, axis=1)
+        assert np.all(np.abs(numeric - exact) <= 1e-7 * np.maximum(np.abs(exact), 1.0))
+
+
+def test_a_start_ends_where_it_would_alone():
+    # the search advances all starts in one stack, but each start's path
+    # depends only on its own values: alone or among seven others, it ends
+    # on the same coefficients, bit for bit
+    nbar, loss = 0.6, LossParameter(0.5)
+    rng = np.random.default_rng(7)
+    u = rng.normal(size=(8, 4))
+    together = optimize._ascend(u, nbar, loss)[0]
+    for i in (0, 5):
+        alone = optimize._ascend(u[i:i + 1], nbar, loss)[0]
+        assert np.array_equal(alone[0], together[i])
+    # the stacked chart is the row-by-row chart
+    rows = np.array([_slice_point(row, nbar) for row in u])
+    assert np.array_equal(rows, _slice_point(u, nbar))

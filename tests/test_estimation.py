@@ -132,6 +132,29 @@ class TestQFI:
         with pytest.raises(DomainError, match=r"^QFI 8\S* violates the energy bound 4\S*$"):
             qfi_of_state(fock_state(1), 0.7)
 
+    def test_core_rejects_non_finite_amplitudes(self):
+        # the FockVector check does not cover bare stacks
+        amps = np.array([[1.0, 0.0], [math.nan, 1.0]])
+        with pytest.raises(DomainError, match="must be finite"):
+            estimation._qfi_stack(amps, LossParameter(0.7))
+        with pytest.raises(DomainError, match="must be finite"):
+            estimation._qfi_grad_stack(amps, LossParameter(0.7))
+
+    @pytest.mark.parametrize("planted", [(math.nan, math.nan), (math.nan, 4.0)])
+    def test_core_checks_fail_on_nan(self, monkeypatch, planted):
+        # planted NaN QFI routes: a check written as "x > tol" would let them
+        # through to the caller
+        frame = estimation._sld_frame
+
+        def poisoned(rho, drho, trace):
+            h_pairs, h_trace, vecs, sld_eig = frame(rho, drho, trace)
+            return (np.full_like(h_pairs, planted[0]), np.full_like(h_trace, planted[1]),
+                    vecs, sld_eig)
+
+        monkeypatch.setattr(estimation, "_sld_frame", poisoned)
+        with pytest.raises(ArithmeticError, match="QFI routes disagree: nan"):
+            qfi_of_state(fock_state(1), 0.7)
+
     def test_report_fields(self):
         report = qfi(Fock(2), 0.6, runs=100)
         assert report.ultimate_bound == pytest.approx(8.0)

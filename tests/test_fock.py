@@ -220,6 +220,12 @@ class TestStateTypes:
         with pytest.raises(DegenerateStateError):
             FockVector(np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_non_finite_amplitudes_rejected(self, bad):
+        # a NaN norm passes "norm < 1e-15", so this needs its own check
+        with pytest.raises(DomainError, match="must be finite"):
+            FockVector(np.array([bad, 1.0]))
+
     def test_amplitudes_immutable(self):
         v = fock_state(1)
         with pytest.raises(ValueError):

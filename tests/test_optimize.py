@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lossqfi import (DomainError, Gaussian, best_cat,
+from lossqfi import (DomainError, Gaussian, LossParameter, best_cat,
                      closed_form_qfi, evaluate_result, mean_photon,
                      optimize_gaussian, optimize_qutrit,
                      optimize_superposition, build_probe, qfi_of_state)
@@ -89,17 +89,35 @@ class TestOptimizeSuperposition:
         assert res.best_qfi > closed_form_qfi("coherent", {"nbar": 1.7}, 0.6)
 
     def test_phase_check_catches_a_non_maximum(self, monkeypatch):
-        # planted violation: a chart that always returns the qutrit with all
-        # coefficients positive, where the phases sit at a minimum
+        # planted violation: a chart that returns the qutrit with all
+        # coefficients positive for every start, where the phases sit at a
+        # minimum
         point = np.abs(_qutrit_amplitudes(0.5, 0.6))
-        monkeypatch.setattr(optimize, "_slice_point", lambda u, nbar: point)
+        monkeypatch.setattr(optimize, "_slice_point", lambda u, nbar: np.zeros_like(u) + point)
         with pytest.raises(ArithmeticError, match="not a phase maximum"):
             optimize_superposition(2, 0.5, 0.7, seed=0, starts=3)
+
+    def test_stationarity_check_catches_a_cut_off_search(self, monkeypatch):
+        # planted violation: the search stops after one step, short of the
+        # k = 3 optimum, which no warm start holds at this point
+        monkeypatch.setattr(optimize, "SEARCH_MAX_ITER", 1)
+        with pytest.raises(ArithmeticError, match="not stationary"):
+            optimize_superposition(3, 0.5, 0.7, seed=0, starts=8)
 
     def test_boundary_energy_is_top_fock_state(self):
         # nbar = kmax leaves only |kmax> itself
         res = optimize_superposition(2, 2.0, 0.7, seed=0, starts=4)
         assert res.best_qfi == pytest.approx(8.0, abs=1e-9)
+
+
+class TestOptimizationResult:
+    def test_non_finite_qfi_rejected(self):
+        # NaN compares false against the energy bound, so it needs its own check
+        with pytest.raises(DomainError, match="not finite"):
+            optimize.OptimizationResult(
+                family="qutrit", best_params={}, best_qfi=math.nan, nbar=0.5,
+                phi=LossParameter(0.7), starts=1, converged=True, seed=0,
+                probe=None)
 
 
 class TestOptimizeGaussian:
