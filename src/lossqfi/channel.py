@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
-from .fock import DensityOperator, FockVector, amplitudes_of, matrix_of
+from .fock import DensityOperator, FockVector, _log_factorials, amplitudes_of, matrix_of
 
 __all__ = [
     "LossParameter", "loss_reparametrize", "kraus_operators",
@@ -120,13 +119,14 @@ def kraus_operators(phi, dim: int) -> list[np.ndarray]:
     p = _as_loss(phi).phi
     s, c = math.sin(p), math.cos(p)
     levels = np.arange(dim)
+    lf = _log_factorials(dim)
     ops = []
     for n in range(dim):
         k = np.zeros((dim, dim), dtype=complex)
         m = levels[: dim - n]
         # <m| K_n |m+n> = s^n/sqrt(n!) c^m sqrt((m+n)!/m!)
         logmag = (n * math.log(s) if n else 0.0) \
-            + 0.5 * (gammaln(m + n + 1.0) - gammaln(m + 1.0) - gammaln(n + 1.0)) \
+            + 0.5 * (lf[n:] - lf[: dim - n] - lf[n]) \
             + m * math.log(c)
         k[m, m + n] = np.exp(logmag)
         ops.append(k)
@@ -188,17 +188,16 @@ def evolve(rho, phi) -> DensityOperator:
     logc = math.log(math.cos(p))
     log_s2 = math.log(s2) if s2 > 0 else -math.inf
     levels = np.arange(d)
-    half_lg = 0.5 * gammaln(levels + 1.0)
+    lg = _log_factorials(d)
     # population at or above level n bounds the remaining Kraus terms
     remaining = np.cumsum(np.diag(arr).real[::-1])[::-1]
     out = np.zeros((d, d), dtype=complex)
     for n in range(d):
         if n and remaining[n] < _KRAUS_TERM_FLOOR:
             break
-        j = levels[: d - n]
-        # log sqrt((j+n)!/j!) per retained level
-        lf = 0.5 * (gammaln(j + n + 1.0)) - half_lg[: d - n]
-        logw = n * log_s2 - gammaln(n + 1.0) + lf[:, None] + lf[None, :]
+        # log sqrt((j+n)!/j!) per retained level j < d - n
+        lf = 0.5 * (lg[n:] - lg[: d - n])
+        logw = n * log_s2 - lg[n] + lf[:, None] + lf[None, :]
         out[: d - n, : d - n] += np.exp(logw) * arr[n:, n:]
     cj = np.exp(logc * levels)
     out *= np.outer(cj, cj)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import CutoffOverflowError, DegenerateStateError, DomainError
 
@@ -178,6 +177,21 @@ def fock_state(n: int, dim: int | None = None) -> FockVector:
     return FockVector(amps)
 
 
+def _log_factorials(count: int) -> np.ndarray:
+    """Table of log(m!) for m = 0, ..., count-1.
+
+    Each entry is the logarithm of the exact integer m!, so the table is
+    correctly rounded wherever math.log is and carries no error accumulated
+    along m, as a running sum of log(m) would.
+    """
+    table = np.empty(count)
+    factorial = 1
+    for m in range(count):
+        factorial *= max(m, 1)
+        table[m] = math.log(factorial)
+    return table
+
+
 def _coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
     """Closed-form coherent amplitudes exp(-|a|^2/2) a^m / sqrt(m!)."""
     m = np.arange(dim)
@@ -185,7 +199,7 @@ def _coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
         amps = np.zeros(dim, dtype=complex)
         amps[0] = 1.0
         return amps
-    logmag = m * np.log(np.abs(alpha)) - 0.5 * gammaln(m + 1.0) - 0.5 * np.abs(alpha) ** 2
+    logmag = m * np.log(np.abs(alpha)) - 0.5 * _log_factorials(dim) - 0.5 * np.abs(alpha) ** 2
     return np.exp(logmag) * np.exp(1j * np.angle(alpha) * m)
 
 
@@ -257,22 +271,10 @@ def displaced_squeezed_vacuum(eta: complex, r: float, theta_rel: float = 0.0,
 
 
 def _match_dims(x, y):
-    dx = x.shape[-1]
-    dy = y.shape[-1]
-    d = max(dx, dy)
-    if x.ndim == 1:
-        xp = np.zeros(d, dtype=complex)
-        xp[:dx] = x
-    else:
-        xp = np.zeros((d, d), dtype=complex)
-        xp[:dx, :dx] = x
-    if y.ndim == 1:
-        yp = np.zeros(d, dtype=complex)
-        yp[:dy] = y
-    else:
-        yp = np.zeros((d, d), dtype=complex)
-        yp[:dy, :dy] = y
-    return xp, yp
+    """Zero-pad two vectors or square matrices to their common dimension."""
+    d = max(x.shape[-1], y.shape[-1])
+    return tuple(np.pad(np.asarray(a, dtype=complex), [(0, d - a.shape[-1])] * a.ndim)
+                 for a in (x, y))
 
 
 def fidelity(x, y) -> float:

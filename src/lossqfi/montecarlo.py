@@ -14,6 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# numpy imports its random module on first use; loading it with this module
+# keeps that import out of the first seeded search or simulation
+import numpy.random  # noqa: F401
 
 from .channel import _as_loss
 from .errors import DomainError

@@ -12,9 +12,10 @@ takes, the energy constructor.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -208,8 +209,9 @@ def cat_alpha_for_energy(nbar: float, sign: int) -> float:
 
     Even cats reach any nbar > 0; odd cats only nbar > 1 (they tend to |1>
     as alpha -> 0), so a DomainError is raised for infeasible requests.
+    The mean photon number rises monotonically with alpha, so the root is
+    bisected to within 1e-14 on a doubling bracket.
     """
-    from scipy.optimize import brentq
     if sign > 0:
         if not nbar > 0:
             raise DomainError("even cat needs nbar > 0")
@@ -220,7 +222,13 @@ def cat_alpha_for_energy(nbar: float, sign: int) -> float:
         hi *= 2.0
         if hi > 64:
             raise DomainError("cat energy out of reach")
-    return float(brentq(lambda a: cat_mean_photon(a, sign) - nbar, lo, hi, xtol=1e-14))
+    while hi - lo > 1e-14:
+        mid = 0.5 * (lo + hi)
+        if cat_mean_photon(mid, sign) < nbar:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _qutrit_amplitudes(nbar: float, beta, mu: float = np.pi, nu: float = np.pi) -> np.ndarray:
@@ -396,8 +404,17 @@ def _family(spec: ProbeSpec) -> _Family:
 
 
 def build_probe(spec: ProbeSpec, policy: CutoffPolicy | None = None) -> FockVector:
-    """Construct the normalized probe state for any spec family."""
-    return _family(spec).build(spec, policy or CutoffPolicy())
+    """Construct the normalized probe state for any spec family.
+
+    A NaN or infinite parameter is rejected by name before any family's
+    construction sees it.
+    """
+    family = _family(spec)
+    for field in fields(spec):
+        value = getattr(spec, field.name)
+        if not all(map(cmath.isfinite, value if isinstance(value, tuple) else (value,))):
+            raise DomainError(f"{probe_label(spec)}: parameter {field.name} must be finite")
+    return family.build(spec, policy or CutoffPolicy())
 
 
 def nominal_nbar(spec: ProbeSpec) -> float | None:

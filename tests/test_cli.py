@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -239,6 +240,28 @@ class TestBadInput:
         assert code in (1, 2) and text == ""
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (("qfi", "coherent:alpha=nan", "--phi", "0.5"),
+         "coherent:alpha=nan: parameter alpha must be finite"),
+        (("qfi", "gaussian:eta=inf,r=1", "--phi", "0.5"),
+         "gaussian:eta=inf,r=1,theta=0: parameter eta must be finite"),
+        (("qfi", "cat:alpha=inf", "--phi", "0.5"), "parameter alpha must be finite"),
+        (("sld-dump", "subtracted:eta=1,r=nan", "--phi", "0.5"),
+         "parameter r must be finite"),
+        (("sweep-phi", "--families", "gaussian:eta=1,r=1,theta=inf", "--phi", "0.3:0.5:2"),
+         "parameter theta_rel must be finite"),
+    ])
+    def test_non_finite_probe_parameter_is_named(self, tmp_path, capsys, argv, message):
+        # rejected before any construction: no cutoff-cap advice and no
+        # numpy warning from arithmetic on the non-finite value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run(tmp_path, *argv)
+        assert (code, text) == (1, "")
+        err = capsys.readouterr().err
+        assert message in err
+        assert "cutoff" not in err
+
     def test_energy_bound_at_tiny_loss_names_its_cause(self, tmp_path, capsys):
         code, text = run(tmp_path, "optimize", "--family", "superposition",
                          "--kmax", "3", "--nbar", "0.3", "--phi", "1e-5",
@@ -270,6 +293,31 @@ class TestDeterminism:
             outputs.append(done.stdout)
         assert outputs[0] == outputs[1]
         assert outputs[0].count("\n") > 4
+
+
+class TestImports:
+    def test_the_cli_runs_without_scipy(self):
+        # the package runs on numpy alone: neither the import nor a command
+        # that solves for a cat amplitude and builds coherent amplitudes
+        # loads any scipy module
+        src = str(Path(lossqfi.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "\n".join([
+            "import sys",
+            "def scipy_modules():",
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+            "import lossqfi.cli",
+            "assert not scipy_modules(), scipy_modules()",
+            "code = lossqfi.cli.main(['optimize', '--family', 'cat', '--nbar', '2',"
+            " '--phi', '0.5'])",
+            "assert code == 0, code",
+            "assert not scipy_modules(), scipy_modules()",
+        ])
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("family,nbar,phi,best_qfi")
 
 
 class TestFormats:

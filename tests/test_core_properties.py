@@ -1,5 +1,7 @@
 """Property tests of the stacked QFI core, its gradient route, the
-real-slice chart and the search that runs on it.
+real-slice chart and the search that runs on it, and of the three
+constructions that use the log-factorial table: the Kraus operators, the
+mixed-state channel and the coherent amplitudes.
 
 The core is checked against a dense reference, and for the two symmetries
 the fixed-energy optimizers rely on: the loss channel commutes with
@@ -29,7 +31,9 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from lossqfi import LossParameter  # noqa: E402
 from lossqfi import optimize  # noqa: E402
+from lossqfi.channel import evolve, evolve_pure, kraus_operators  # noqa: E402
 from lossqfi.estimation import RANK_EPS, _qfi_grad_stack, _qfi_stack  # noqa: E402
+from lossqfi.fock import FockVector, _coherent_amplitudes  # noqa: E402
 from lossqfi.optimize import _slice_coords, _slice_point  # noqa: E402
 
 
@@ -173,3 +177,37 @@ def test_a_start_ends_where_it_would_alone():
     # the stacked chart is the row-by-row chart
     rows = np.array([_slice_point(row, nbar) for row in u])
     assert np.array_equal(rows, _slice_point(u, nbar))
+
+
+def _relative(x, reference):
+    return np.linalg.norm(x - reference) / np.linalg.norm(reference)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(st.integers(1, 200), st.integers(0, 2 ** 32 - 1),
+       st.floats(0.01, math.pi / 2 - 0.01), st.complex_numbers(max_magnitude=4.0))
+def test_log_factorial_sites_match_their_references(dim, seed, phi, alpha):
+    # the mixed-state channel, the Kraus operators and the coherent
+    # amplitudes each read log(m!) from one table; each is checked against
+    # a route that needs no factorial
+    rng = np.random.default_rng(seed)
+    psi = FockVector(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    loss = LossParameter(phi)
+    pure = evolve_pure(psi, loss).matrix
+    images = [k @ psi.amplitudes for k in kraus_operators(loss, dim)]
+    kraus_sum = sum(np.outer(v, v.conj()) for v in images)
+    mixed = evolve(psi.density(), loss).matrix
+    assert _relative(mixed, pure) <= 1e-12
+    assert _relative(pure, kraus_sum) <= 1e-12
+    assert _relative(mixed, kraus_sum) <= 1e-12
+
+    # c_0 = exp(-|alpha|^2/2), c_{m+1} = alpha c_m / sqrt(m+1); subnormal
+    # levels carry no relative precision and are left out
+    recurrence = np.empty(dim, dtype=complex)
+    recurrence[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    for m in range(dim - 1):
+        recurrence[m + 1] = alpha * recurrence[m] / math.sqrt(m + 1)
+    closed = _coherent_amplitudes(alpha, dim)
+    normal = np.abs(recurrence) > 1e-290
+    assert np.all(np.abs(closed - recurrence)[normal] <= 1e-12 * np.abs(recurrence)[normal])
+    assert np.all(np.abs(closed[~normal]) <= 1e-280)
