@@ -133,40 +133,40 @@ def kraus_operators(phi, dim: int) -> list[np.ndarray]:
     return ops
 
 
-def _kraus_images(amps: np.ndarray, loss: LossParameter) -> np.ndarray:
+def _kraus_images(amps: np.ndarray, phi) -> np.ndarray:
     """Kraus images of a (..., D) stack of pure states, one per column.
 
-    Column n holds K_n psi, accumulated by repeatedly applying the scaled
-    annihilator, ascending in n. A probe's terms stop once its input
-    population at or above level n drops below the floor: that mass bounds
-    everything the remaining terms could contribute (individual term norms
-    are not monotone in n, so testing only the current term would be
-    unsound). The population is non-increasing in n, so the per-probe mask
-    acts as a break.
+    Column n holds K_n psi in closed form, <m|K_n|psi> =
+    cos(phi)^m sin(phi)^n sqrt(C(m+n, n)) psi_{m+n}, gathered in one pass
+    with the weights taken in log space so that no factor overflows.
+    ``phi`` is one loss angle, or one per stack element. A probe's terms
+    stop once its input population at or above level n drops below the
+    floor: that mass bounds everything the remaining terms could contribute
+    (individual term norms are not monotone in n, so testing only the
+    current term would be unsound). Real probes keep real images.
     """
     d = amps.shape[-1]
-    s, c = math.sin(loss.phi), math.cos(loss.phi)
-    cpow = c ** np.arange(d)
-    sq = np.sqrt(np.arange(1, d))
+    m = np.arange(d)
+    total = m[:, None] + m
+    level = np.minimum(total, d - 1)
+    half = 0.5 * _log_factorials(d)
+    # log weights: row m, column n and the shared sqrt((m+n)!); a weight of
+    # -inf drops the levels m + n >= d
+    top = np.where(total < d, half[level], -np.inf)
+    phi = np.asarray(phi, dtype=float)[..., None]
     keep = np.cumsum(np.abs(amps[..., ::-1]) ** 2, axis=-1)[..., ::-1] >= _KRAUS_TERM_FLOOR
     keep[..., 0] = True
-    # real probes keep real images; everything else is complex
-    dtype = np.result_type(amps.dtype, float)
-    cols = np.zeros(amps.shape + (d,), dtype=dtype)
-    # t holds the levels below d - n of a^n psi scaled by s^n / sqrt(n!)
-    t = amps.astype(dtype)
-    cols[..., 0] = cpow * t
-    for n in range(1, d):
-        if not keep[..., n].any():
-            break
-        t = (s / math.sqrt(n)) * (sq[: d - n] * t[..., 1:])
-        cols[..., : d - n, n] = cpow[: d - n] * t
-    return np.where(keep[..., None, :], cols, 0.0)
+    row = m * np.log(np.cos(phi)) - half
+    col = m * np.log(np.sin(phi)) - half
+    weight = np.exp(row[..., :, None] + col[..., None, :] + top)
+    if not keep.all():
+        weight = np.where(keep[..., None, :], weight, 0.0)
+    return weight * amps[..., level]
 
 
 def evolve_pure(psi, phi) -> DensityOperator:
     """Propagate a pure state; returns sum_n (K_n psi)(K_n psi)+."""
-    cols = _kraus_images(amplitudes_of(psi), _as_loss(phi))
+    cols = _kraus_images(amplitudes_of(psi), _as_loss(phi).phi)
     return DensityOperator(cols @ cols.conj().T)
 
 
@@ -204,9 +204,10 @@ def evolve(rho, phi) -> DensityOperator:
     return DensityOperator(out)
 
 
-def _loss_generator(m: np.ndarray, phi: float, adjoint: bool = False) -> np.ndarray:
+def _loss_generator(m: np.ndarray, phi, adjoint: bool = False) -> np.ndarray:
     """tan(phi) (2 a m a+ - N m - m N) on a (..., D, D) stack, in the dtype of
-    m; with ``adjoint`` its adjoint under Tr[X+ Y], tan(phi) (2 a+ m a - N m - m N)."""
+    m, at one loss angle or one per stack element; with ``adjoint`` its
+    adjoint under Tr[X+ Y], tan(phi) (2 a+ m a - N m - m N)."""
     d = m.shape[-1]
     levels = np.arange(d)
     shifted = np.zeros_like(m)
@@ -216,7 +217,9 @@ def _loss_generator(m: np.ndarray, phi: float, adjoint: bool = False) -> np.ndar
             shifted[..., 1:, 1:] = m[..., :-1, :-1] * root
         else:
             shifted[..., :-1, :-1] = m[..., 1:, 1:] * root
-    return math.tan(phi) * (2.0 * shifted - levels[:, None] * m - m * levels[None, :])
+    tan = np.tan(phi)
+    return (tan[..., None, None] if tan.ndim else tan) \
+        * (2.0 * shifted - levels[:, None] * m - m * levels[None, :])
 
 
 def drho_dphi(rho_phi, phi) -> np.ndarray:

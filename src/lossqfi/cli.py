@@ -18,7 +18,7 @@ import numpy as np
 from .channel import LossParameter, drho_dphi, evolve
 from .degauss import coverage_check, default_region_grids, region_map
 from .errors import CutoffOverflowError, DegenerateStateError, DomainError
-from .estimation import qfi, qfi_of_state, sld
+from .estimation import _qfi_stack, qfi, sld
 from .fock import CutoffPolicy, mean_photon
 from .montecarlo import simulate_fock_estimation
 from .optimize import (best_cat, optimize_gaussian, optimize_qutrit,
@@ -163,8 +163,8 @@ def _sweep_phi_rows(family: str, phis, args):
     if opt is None:
         state = build_probe(parse_probe(family), policy)
         nbar = mean_photon(state)
-        return [[family, p, nbar, qfi_of_state(state, _loss(p, args)), 4.0 * nbar]
-                for p in phis]
+        hs = _qfi_stack([state] * len(phis), [_loss(p, args) for p in phis])
+        return [[family, p, nbar, h, 4.0 * nbar] for p, h in zip(phis, hs)]
     kv = _parse_kv(head, body, ("nbar",) + opt.keys)
     if "nbar" not in kv:
         raise ConfigError(f"family {family!r} needs an nbar parameter")

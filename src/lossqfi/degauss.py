@@ -92,14 +92,18 @@ class CoverageReport:
         return [p for p in self.points if not (p.covered or p.exception)]
 
 
+def _sorted_distinct(*parts) -> np.ndarray:
+    """The distinct values of the given arrays in ascending order (what
+    np.unique returns, without the numpy.ma import it makes)."""
+    merged = np.sort(np.concatenate(parts))
+    return merged[np.concatenate([[True], merged[1:] != merged[:-1]])]
+
+
 def default_region_grids():
     """Default (eta, r) lattices: uniform coverage plus near-origin refinement."""
-    etas = np.unique(np.concatenate([
-        np.linspace(0.0, 2.0, 161),
-        np.geomspace(1e-3, 0.5, 60),
-    ]))
+    etas = _sorted_distinct(np.linspace(0.0, 2.0, 161), np.geomspace(1e-3, 0.5, 60))
     half = np.geomspace(1e-3, 0.5, 50)
-    rs = np.unique(np.concatenate([np.linspace(-1.0, 1.0, 161), half, -half]))
+    rs = _sorted_distinct(np.linspace(-1.0, 1.0, 161), half, -half)
     return etas, rs
 
 

@@ -37,6 +37,9 @@ BOUND_SLACK = 1e-6
 # sin(phi)^(2n), and the roundoff measured about 1.3e-16/sin(phi)^2; this is
 # 100 times that
 QFI_ROUNDOFF = 1e-14
+# largest number of elements of one (B, D, D) array the stacked core builds
+# for B > 1; a single probe of any D runs alone
+STACK_BUDGET = 8192
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,8 @@ class EstimationReport:
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(m, -1, -2))
+    t = np.swapaxes(m, -1, -2)
+    return t.conj() if np.iscomplexobj(t) else t
 
 
 def _sld_frame(rho, drho, trace):
@@ -95,28 +99,43 @@ def _sld_frame(rho, drho, trace):
     return h_pairs, h_trace, vecs, sld_eig
 
 
-def _checked_frame(amps, loss: LossParameter):
-    """The QFI core over a (B, D) amplitude stack at one loss angle.
+def _angles(phi, count: int):
+    """The loss angle of ``count`` probes: one float for one angle, else one
+    per probe in a (count,) array; each is checked by :func:`_as_loss`."""
+    if not isinstance(phi, (list, tuple, np.ndarray)):
+        return _as_loss(phi).phi
+    angles = np.array([_as_loss(p).phi for p in phi], dtype=float)
+    if angles.size != count:
+        raise DomainError(f"{angles.size} loss angles given for {count} probes")
+    return angles
+
+
+def _checked_frame(amps, phi):
+    """The QFI core over a (B, D) amplitude stack at one loss angle, or at
+    one per probe (a (B,) array of phi).
 
     Propagates each probe through the channel (rho = C C+ over its Kraus
     images C), checks its trace, and computes both the pairwise sum over
     eigenpairs and Tr[rho L^2]. Every element must pass the route agreement
     and the energy bound H <= 4 nbar; every check is written so that a NaN
-    fails it. Real amplitudes keep every array real. Returns the pairwise
-    sums, which never divide by a lone vanishing eigenvalue, with the Kraus
-    images, the eigenvectors of rho and the SLD in their frame.
+    fails it. A stack whose imaginary part is exactly zero runs in real
+    arithmetic throughout. Returns the pairwise sums, which never divide by
+    a lone vanishing eigenvalue, with the Kraus images, the eigenvectors of
+    rho and the SLD in their frame.
     """
-    amps = np.asarray(amps, dtype=complex if np.iscomplexobj(amps) else float)
+    amps = np.asarray(amps)
     if not np.isfinite(amps).all():
         raise DomainError("probe amplitudes must be finite")
-    cols = _kraus_images(amps, loss)
+    if np.iscomplexobj(amps) and not amps.imag.any():
+        amps = amps.real
+    cols = _kraus_images(amps, phi)
     rho = cols @ _dagger(cols)
     rho = 0.5 * (rho + _dagger(rho))
     trace = np.trace(rho, axis1=-2, axis2=-1).real
     off = ~(np.abs(trace - 1.0) <= TRACE_TOL)
     if off.any():
         raise DomainError(f"trace {trace[off][0]!r} deviates from 1 beyond {TRACE_TOL}")
-    h_pairs, h_trace, vecs, sld_eig = _sld_frame(rho, _loss_generator(rho, loss.phi), trace)
+    h_pairs, h_trace, vecs, sld_eig = _sld_frame(rho, _loss_generator(rho, phi), trace)
     scale = np.maximum(np.maximum(np.abs(h_pairs), np.abs(h_trace)), 1e-9)
     split = ~(np.abs(h_pairs - h_trace) <= ROUTE_AGREEMENT * scale)
     if split.any():
@@ -127,17 +146,65 @@ def _checked_frame(amps, loss: LossParameter):
     if over.any():
         i = int(np.argmax(over))
         message = f"QFI {h_pairs[i]} violates the energy bound {bound[i]}"
-        if QFI_ROUNDOFF / math.sin(loss.phi) ** 2 > BOUND_SLACK:
-            message += (f" at phi = {loss.phi:.6g}: the QFI's roundoff at this loss exceeds "
+        angle = float(np.broadcast_to(phi, over.shape)[i])
+        if QFI_ROUNDOFF / math.sin(angle) ** 2 > BOUND_SLACK:
+            message += (f" at phi = {angle:.6g}: the QFI's roundoff at this loss exceeds "
                         f"the bound's slack {BOUND_SLACK:g}, so phi must be raised")
         raise DomainError(message)
     return h_pairs, cols, vecs, sld_eig
 
 
-def _qfi_stack(amps, loss: LossParameter) -> np.ndarray:
-    """QFI of every pure probe in a (B, D) amplitude stack at one loss angle,
-    checked by :func:`_checked_frame`."""
-    return _checked_frame(amps, loss)[0]
+def _chunks(dims: np.ndarray) -> list:
+    """Index arrays that split probes of the given lengths into stacks: all
+    of them when they fit, else runs of probes sorted by length. A stack of
+    B > 1 probes padded to its largest D keeps B D^2 within STACK_BUDGET."""
+    if dims.size * np.max(dims, initial=0) ** 2 <= STACK_BUDGET or dims.size == 1:
+        return [np.arange(dims.size)] if dims.size else []
+    order = np.argsort(dims, kind="stable")
+    size = dims[order] ** 2
+    chunks, start = [], 0
+    while start < order.size:
+        # B D^2 grows along the sorted probes, so the ones that fit lead
+        fits = np.arange(1, order.size - start + 1) * size[start:] <= STACK_BUDGET
+        stop = start + max(1, int(np.count_nonzero(fits)))
+        chunks.append(order[start:stop])
+        start = stop
+    return chunks
+
+
+def _qfi_stack(probes, phi) -> np.ndarray:
+    """QFI of every pure probe, each at its own loss angle, checked by
+    :func:`_checked_frame`.
+
+    ``probes`` is a (B, D) amplitude stack or a sequence of amplitude vectors
+    (or FockVectors) of any lengths; ``phi`` is one loss angle or one per
+    probe. Probes are sorted by length and zero-padded within each stack of
+    :func:`_chunks`, which leaves every H unchanged. Returns H in the order
+    of ``probes``.
+    """
+    if isinstance(probes, np.ndarray):
+        rows, dims = probes, np.full(probes.shape[0], probes.shape[-1])
+    else:
+        rows = [amplitudes_of(p) for p in probes]
+        dims = np.array([row.size for row in rows], dtype=int)
+    angles = _angles(phi, dims.size)
+    chunks = _chunks(dims)
+    if len(chunks) == 1 and isinstance(rows, np.ndarray):
+        # one stack in its own order: nothing to gather or scatter
+        return _checked_frame(rows, angles)[0]
+    out = np.empty(dims.size)
+    for idx in chunks:
+        if isinstance(rows, np.ndarray):
+            stack = rows[idx]
+        elif idx.size == 1:
+            stack = rows[idx[0]][None]
+        else:
+            stack = np.zeros((idx.size, dims[idx].max()),
+                             dtype=np.result_type(*{rows[i].dtype for i in idx}))
+            for j, i in enumerate(idx):
+                stack[j, :dims[i]] = rows[i]
+        out[idx] = _checked_frame(stack, angles if isinstance(angles, float) else angles[idx])[0]
+    return out
 
 
 def _qfi_grad_stack(amps, loss: LossParameter):
@@ -149,23 +216,30 @@ def _qfi_grad_stack(amps, loss: LossParameter):
     D+(L) = tan(phi) (2 a+ L a - N L - L N) is the adjoint of drho_dphi.
     K_n c are the Kraus images the core already holds, and
     K_n+ = (s^n / sqrt(n!)) (a+)^n cos(phi)^N comes from the images of the
-    basis states. Returns (H, gradient); H is :func:`_qfi_stack`'s.
+    basis states. Returns (H, gradient); H is :func:`_qfi_stack`'s, from the
+    same stacks of :func:`_chunks`.
     """
-    h, cols, vecs, sld_eig = _checked_frame(np.asarray(amps, dtype=float), loss)
-    sld_fock = vecs @ sld_eig @ _dagger(vecs)
-    g = 2.0 * _loss_generator(sld_fock, loss.phi, adjoint=True) - sld_fock @ sld_fock
+    amps = np.asarray(amps, dtype=float)
+    phi = _as_loss(loss).phi
     # kraus[j, i, n] = <i| K_n |j>
-    kraus = _kraus_images(np.eye(cols.shape[-1]), loss)
-    return h, 2.0 * np.einsum("bin,jin->bj", g @ cols, kraus)
+    kraus = _kraus_images(np.eye(amps.shape[-1]), phi)
+    h = np.empty(amps.shape[0])
+    grad = np.empty_like(amps)
+    for idx in _chunks(np.full(amps.shape[0], amps.shape[-1])):
+        h[idx], cols, vecs, sld_eig = _checked_frame(amps[idx], phi)
+        sld_fock = vecs @ sld_eig @ _dagger(vecs)
+        g = 2.0 * _loss_generator(sld_fock, phi, adjoint=True) - sld_fock @ sld_fock
+        grad[idx] = 2.0 * np.einsum("bin,jin->bj", g @ cols, kraus)
+    return h, grad
 
 
 def qfi_of_state(state, phi) -> float:
     """Numeric QFI of an already-built pure probe state at loss phi.
 
-    The single-probe case of the stacked core: both QFI routes must agree
+    The one-probe case of :func:`_qfi_stack`: both QFI routes must agree
     and the value must respect the energy bound.
     """
-    return float(_qfi_stack(amplitudes_of(state)[None], _as_loss(phi))[0])
+    return float(_qfi_stack(amplitudes_of(state)[None], phi)[0])
 
 
 def sld(rho_phi, drho, phi) -> SLDOperator:

@@ -10,6 +10,7 @@ population, measured against the exact unit norm, stays below a
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +27,8 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-8
 TRACE_TOL = 1e-10
+# levels of the Gaussian recurrence between two tests of its neglected population
+_TAIL_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -157,11 +160,11 @@ def hermitian_eig(matrix, tol: float = HERMITICITY_TOL) -> Spectrum:
         raise DomainError("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
     vals, vecs = vals[::-1], vecs[:, ::-1]
-    for k in range(vecs.shape[1]):
-        i = int(np.argmax(np.abs(vecs[:, k])))
-        pivot = vecs[i, k]
-        if abs(pivot) > 0:
-            vecs[:, k] *= np.conj(pivot) / abs(pivot)
+    pivot = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=0)[None], axis=0)[0]
+    # hypot is what abs() of one complex scalar computes; np.abs of an array
+    # can differ from it in the last bit
+    size = np.hypot(pivot.real, pivot.imag)
+    vecs = vecs * np.where(size > 0, np.conj(pivot) / np.where(size > 0, size, 1.0), 1.0)
     return Spectrum(vals, vecs)
 
 
@@ -177,19 +180,21 @@ def fock_state(n: int, dim: int | None = None) -> FockVector:
     return FockVector(amps)
 
 
+@functools.lru_cache(maxsize=64)
 def _log_factorials(count: int) -> np.ndarray:
-    """Table of log(m!) for m = 0, ..., count-1.
+    """Read-only table of log(m!) for m = 0, ..., count-1.
 
     Each entry is the logarithm of the exact integer m!, so the table is
     correctly rounded wherever math.log is and carries no error accumulated
-    along m, as a running sum of log(m) would.
+    along m, as a running sum of log(m) would. The QFI core asks for the
+    table of every probe's cutoff, so recent tables are kept.
     """
     table = np.empty(count)
     factorial = 1
     for m in range(count):
         factorial *= max(m, 1)
         table[m] = math.log(factorial)
-    return table
+    return _freeze(table)
 
 
 def _coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
@@ -234,20 +239,34 @@ def _cut(amps: np.ndarray, policy: CutoffPolicy) -> FockVector:
     return FockVector(amps[:cut])
 
 
-def _gaussian_amplitudes(eta: complex, r, theta_rel: float, levels: int) -> np.ndarray:
+def _gaussian_amplitudes(eta, r, theta_rel, levels: int,
+                         tail_tol: float | None = None) -> np.ndarray:
     """Amplitudes <n|D(eta) S(r e^{i theta_rel})|0> for n < levels.
 
     Yuen's exact three-term recurrence (Yuen, PRA 13, 2226 (1976)) with
     t = e^{i theta_rel} tanh r and gamma = eta + eta* t:
     c_0 = exp(-|eta|^2/2 - eta*^2 t/2) / sqrt(cosh r),
     c_{n+1} = (gamma c_n - t sqrt(n) c_{n-1}) / sqrt(n+1).
-    ``r`` may be an array; the level index is then the last axis.
+    ``eta``, ``r`` and ``theta_rel`` may be arrays, broadcast together; the
+    level index is then the last axis. With ``tail_tol`` the recurrence
+    stops early: every _TAIL_BLOCK levels it adds them to the running mass
+    in the order :func:`_smallest_cutoff` sums them, and it stops once every
+    state's neglected population 1 - sum |c_n|^2 is below ``tail_tol``, so
+    no cutoff under that tolerance moves.
     """
     t = np.exp(1j * theta_rel) * np.tanh(r)
     gamma = eta + np.conj(eta) * t
-    c = [np.exp(-0.5 * abs(eta) ** 2 - 0.5 * np.conj(eta) ** 2 * t) / np.sqrt(np.cosh(r))]
+    size = np.hypot(np.real(eta), np.imag(eta))
+    c = [np.exp(-0.5 * size ** 2 - 0.5 * np.conj(eta) ** 2 * t) / np.sqrt(np.cosh(r))]
     c.append(gamma * c[0])
+    mass = 0.0
     for n in range(1, levels - 1):
+        if tail_tol is not None and n % _TAIL_BLOCK == 0:
+            block = np.abs(np.array(c[n - _TAIL_BLOCK:n])) ** 2
+            block[0] += mass
+            mass = np.cumsum(block, axis=0)[-1]
+            if np.all(1.0 - mass < tail_tol):
+                break
         c.append((gamma * c[n] - t * math.sqrt(n) * c[n - 1]) / math.sqrt(n + 1))
     return np.moveaxis(np.array(c[:levels], dtype=complex), 0, -1)
 
@@ -267,7 +286,7 @@ def displaced_squeezed_vacuum(eta: complex, r: float, theta_rel: float = 0.0,
             raise DomainError("dimension must be a positive integer")
         return FockVector(_gaussian_amplitudes(eta, r, theta_rel, dim))
     policy = policy or CutoffPolicy()
-    return _cut(_gaussian_amplitudes(eta, r, theta_rel, policy.cap), policy)
+    return _cut(_gaussian_amplitudes(eta, r, theta_rel, policy.cap, policy.tail_tol), policy)
 
 
 def _match_dims(x, y):

@@ -25,8 +25,7 @@ import numpy as np
 from .channel import LossParameter, _as_loss
 from .errors import DomainError
 from .estimation import QFI_ROUNDOFF, _qfi_grad_stack, _qfi_stack, qfi_of_state
-from .fock import (CutoffPolicy, displaced_squeezed_vacuum,
-                   mean_photon)
+from .fock import CutoffPolicy, _cut, _gaussian_amplitudes, mean_photon
 from .montecarlo import _rep_rng
 from .probes import (Cat, Gaussian, ProbeSpec, Qutrit, Superposition,
                      _qutrit_amplitudes, build_probe, cat_alpha_for_energy)
@@ -125,7 +124,9 @@ def optimize_qutrit(nbar: float, phi, policy: CutoffPolicy | None = None) -> Opt
     loss = _as_loss(phi)
 
     def value(beta):
-        return qfi_of_state(build_probe(Qutrit(nbar, beta), policy), loss)
+        # the Qutrit probe's construction, normalized as FockVector does
+        amps = _qutrit_amplitudes(nbar, beta)
+        return _qfi_stack((amps / np.linalg.norm(amps))[None], loss)[0]
 
     grid = np.linspace(0.0, np.pi / 2, QUTRIT_GRID_POINTS)
     amps = _qutrit_amplitudes(nbar, grid)
@@ -429,11 +430,19 @@ def optimize_superposition(kmax: int, nbar: float, phi, seed: int = 0,
 # displaced squeezed vacuum
 
 
-def _gauss_state(nbar: float, x: float, theta: float, policy: CutoffPolicy):
-    x = min(max(x, 0.0), 1.0)
-    r = math.asinh(math.sqrt(x * nbar))
-    eta = math.sqrt(max((1.0 - x) * nbar, 0.0))
-    return displaced_squeezed_vacuum(eta, r, theta, policy=policy)
+def _gauss_values(nbar: float, xs, thetas, loss: LossParameter,
+                  policy: CutoffPolicy) -> np.ndarray:
+    """H of the displaced squeezed vacua with squeeze fractions ``xs`` and
+    relative phases ``thetas`` (broadcast together) at energy nbar, from one
+    recurrence over all of them and one stacked core call; each state is cut
+    by the policy exactly as :func:`displaced_squeezed_vacuum` cuts it."""
+    xs = np.clip(xs, 0.0, 1.0)
+    r = np.arcsinh(np.sqrt(xs * nbar))
+    eta = np.sqrt(np.maximum((1.0 - xs) * nbar, 0.0))
+    # one scalar x keeps the recurrence in scalar arithmetic, much faster than
+    # an array of one
+    amps = _gaussian_amplitudes(eta, r, thetas, policy.cap, policy.tail_tol)
+    return _qfi_stack([_cut(row, policy) for row in amps.reshape(-1, amps.shape[-1])], loss)
 
 
 def optimize_gaussian(nbar: float, phi,
@@ -445,7 +454,9 @@ def optimize_gaussian(nbar: float, phi,
     a grid, then golden-section polish. theta_rel -> -theta_rel is complex
     conjugation, so theta_rel = 0 is stationary; a scan of theta_rel at the
     optimum raises ArithmeticError if some phase beats it by more than
-    GAUSS_THETA_TOL max(1, H), or than the roundoff of H at small loss.
+    GAUSS_THETA_TOL max(1, H), or than the roundoff of H at small loss. The
+    grid, each polish point and the scan are one :func:`_gauss_values` call
+    each.
     """
     if not nbar > 0:
         raise DomainError("energy must be positive")
@@ -453,12 +464,13 @@ def optimize_gaussian(nbar: float, phi,
     policy = policy or CutoffPolicy()
 
     def value(x):
-        return qfi_of_state(_gauss_state(nbar, x, 0.0, policy), loss)
+        return _gauss_values(nbar, x, 0.0, loss, policy)[0]
 
     grid = np.linspace(0.0, 1.0, GAUSS_GRID_POINTS)
-    x, h = _grid_then_polish(value, grid, [value(x) for x in grid], GAUSS_X_TOL)
+    x, h = _grid_then_polish(value, grid, _gauss_values(nbar, grid, 0.0, loss, policy),
+                             GAUSS_X_TOL)
     thetas = np.linspace(0.0, 2.0 * math.pi, GAUSS_THETA_SCAN, endpoint=False)
-    scan = [qfi_of_state(_gauss_state(nbar, x, th, policy), loss) for th in thetas]
+    scan = _gauss_values(nbar, x, thetas, loss, policy)
     i = int(np.argmax(scan))
     roundoff = QFI_ROUNDOFF / math.sin(loss.phi) ** 2
     if scan[i] > h + max(GAUSS_THETA_TOL, roundoff) * max(1.0, h):

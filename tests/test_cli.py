@@ -299,7 +299,8 @@ class TestImports:
     def test_the_cli_runs_without_scipy(self):
         # the package runs on numpy alone: neither the import nor a command
         # that solves for a cat amplitude and builds coherent amplitudes
-        # loads any scipy module
+        # loads any scipy module; and neither the default region map nor a
+        # coverage check on it loads numpy.ma, which np.unique imports
         src = str(Path(lossqfi.__file__).resolve().parents[1])
         env = dict(os.environ,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -313,6 +314,9 @@ class TestImports:
             " '--phi', '0.5'])",
             "assert code == 0, code",
             "assert not scipy_modules(), scipy_modules()",
+            "region = lossqfi.degauss.region_map()",
+            "lossqfi.degauss.coverage_check([0.4], [0.3], region)",
+            "assert 'numpy.ma' not in sys.modules",
         ])
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=300)

@@ -1,7 +1,11 @@
 """Property tests of the stacked QFI core, its gradient route, the
-real-slice chart and the search that runs on it, and of the three
-constructions that use the log-factorial table: the Kraus operators, the
-mixed-state channel and the coherent amplitudes.
+real-slice chart and the search that runs on it, and of the constructions
+that use the log-factorial table: the Kraus operators, the closed-form
+Kraus images, the mixed-state channel and the coherent amplitudes.
+
+The stacked entry takes probes of any lengths, each at its own loss angle,
+and runs real probes in real arithmetic; zero-padding, per-element angles,
+the real route and its element budget are each checked here.
 
 The core is checked against a dense reference, and for the two symmetries
 the fixed-energy optimizers rely on: the loss channel commutes with
@@ -30,9 +34,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from lossqfi import LossParameter  # noqa: E402
-from lossqfi import optimize  # noqa: E402
-from lossqfi.channel import evolve, evolve_pure, kraus_operators  # noqa: E402
-from lossqfi.estimation import RANK_EPS, _qfi_grad_stack, _qfi_stack  # noqa: E402
+from lossqfi import estimation, optimize  # noqa: E402
+from lossqfi.channel import _kraus_images, evolve, evolve_pure, kraus_operators  # noqa: E402
+from lossqfi.estimation import (RANK_EPS, STACK_BUDGET, _qfi_grad_stack,  # noqa: E402
+                                _qfi_stack)
 from lossqfi.fock import FockVector, _coherent_amplitudes  # noqa: E402
 from lossqfi.optimize import _slice_coords, _slice_point  # noqa: E402
 
@@ -211,3 +216,106 @@ def test_log_factorial_sites_match_their_references(dim, seed, phi, alpha):
     normal = np.abs(recurrence) > 1e-290
     assert np.all(np.abs(closed - recurrence)[normal] <= 1e-12 * np.abs(recurrence)[normal])
     assert np.all(np.abs(closed[~normal]) <= 1e-280)
+
+
+@st.composite
+def ragged_probes(draw):
+    """Real or complex probes of different lengths, each with its own loss angle."""
+    count = draw(st.integers(1, 6))
+    probes, phis = [], []
+    for _ in range(count):
+        dim = draw(st.integers(1, 8))
+        parts = hnp.arrays(float, dim, elements=st.floats(-1.0, 1.0, allow_nan=False))
+        amps = draw(parts) + (1j * draw(parts) if draw(st.booleans()) else 0.0)
+        norm = np.linalg.norm(amps)
+        hypothesis.assume(norm > 1e-3)
+        probes.append(amps / norm)
+        phis.append(draw(st.floats(0.2, math.pi / 2 - 1e-3)))
+    return probes, phis
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(ragged_probes(), st.integers(1, 12))
+def test_zero_padding_leaves_the_qfi_unchanged(stack, pad):
+    probes, phis = stack
+    for psi, phi in zip(probes, phis):
+        h = _qfi_stack([psi], phi)[0]
+        padded = _qfi_stack([np.pad(psi, (0, pad))], phi)[0]
+        assert abs(padded - h) <= 1e-12 * max(h, 1e-3)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(ragged_probes())
+def test_a_stack_with_one_angle_per_probe_equals_the_single_calls(stack):
+    # the probes are sorted by length, padded and chunked inside; each value
+    # comes back in its own place, as its own call would give it
+    probes, phis = stack
+    together = _qfi_stack(probes, phis)
+    alone = np.array([_qfi_stack([psi], phi)[0] for psi, phi in zip(probes, phis)])
+    assert together.shape == (len(probes),)
+    assert np.all(np.abs(together - alone) <= 1e-12 * np.maximum(alone, 1e-3))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(real_stacks())
+def test_the_real_route_equals_the_complex_route(stack):
+    # a complex array whose imaginary part is exactly zero (what FockVector
+    # holds) takes the real route; i psi has the same rho, formed exactly in
+    # complex arithmetic, so the two stacks differ only in the route taken
+    amps, phi = stack
+    seen = []
+    frame = estimation._checked_frame
+
+    def spy(stack_amps, angles):
+        out = frame(stack_amps, angles)
+        seen.append(out[1].dtype)
+        return out
+
+    try:
+        estimation._checked_frame = spy
+        real = _qfi_stack(amps.astype(complex), phi)
+        complex_route = _qfi_stack(1j * amps, phi)
+    finally:
+        estimation._checked_frame = frame
+    assert seen == [np.dtype(float), np.dtype(complex)]
+    assert np.all(np.abs(real - complex_route) <= 1e-12 * np.maximum(real, 1e-3))
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(st.integers(1, 200), st.integers(0, 2 ** 32 - 1),
+       st.floats(0.01, math.pi / 2 - 0.01))
+def test_closed_form_kraus_images_match_the_kraus_operators(dim, seed, phi):
+    # column n of the closed form is K_n psi; their Kraus sum is
+    # sum_n K_n rho K_n+ for rho = psi psi+
+    rng = np.random.default_rng(seed)
+    psi = FockVector(rng.normal(size=dim) + 1j * rng.normal(size=dim)).amplitudes
+    cols = _kraus_images(psi, phi)
+    rho = np.outer(psi, psi.conj())
+    kraus_sum = np.zeros((dim, dim), dtype=complex)
+    for n, k in enumerate(kraus_operators(phi, dim)):
+        assert np.max(np.abs(cols[:, n] - k @ psi)) <= 1e-12
+        kraus_sum += k @ rho @ k.conj().T
+    assert _relative(cols @ cols.conj().T, kraus_sum) <= 1e-12
+
+
+def test_no_stacked_core_call_exceeds_the_element_budget(monkeypatch):
+    # every caller of the core: the Gaussian grid, polish and scan, a ragged
+    # stack (the sweep-phi shape), the qutrit grid and the superposition
+    # search with its checks
+    shapes = []
+    frame = estimation._checked_frame
+
+    def spy(amps, angles):
+        shapes.append(np.shape(amps))
+        return frame(amps, angles)
+
+    monkeypatch.setattr(estimation, "_checked_frame", spy)
+    optimize.optimize_gaussian(0.4, 0.7)
+    rng = np.random.default_rng(11)
+    ragged = [FockVector(rng.normal(size=d)) for d in (3, 40, 12, 90, 7, 25)] * 5
+    _qfi_stack(ragged, np.linspace(0.2, 1.4, len(ragged)))
+    optimize.optimize_qutrit(0.5, 0.6)
+    optimize.optimize_superposition(3, 0.6, 0.5, starts=40)
+    stacked = [(b, d) for b, d in shapes if b > 1]
+    assert stacked and max(d for _, d in stacked) > 8
+    assert all(b * d * d <= STACK_BUDGET for b, d in stacked)

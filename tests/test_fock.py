@@ -87,6 +87,29 @@ class TestHermitianEig:
             assert pivot.imag == pytest.approx(0.0, abs=1e-15)
             assert pivot.real >= 0.0
 
+    def test_one_pivot_gather_equals_the_column_loop(self):
+        # the phase convention written as the per-column loop it replaced:
+        # the spectrum must be the same bit for bit
+        def column_loop(m):
+            vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
+            vals, vecs = vals[::-1], vecs[:, ::-1]
+            for k in range(vecs.shape[1]):
+                i = int(np.argmax(np.abs(vecs[:, k])))
+                pivot = vecs[i, k]
+                if abs(pivot) > 0:
+                    vecs[:, k] *= np.conj(pivot) / abs(pivot)
+            return vals, vecs
+
+        rng = np.random.default_rng(17)
+        for trial in range(60):
+            dim = 1 + trial % 30
+            raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) * (trial % 3 > 0)
+            m = (0.5 * (raw + raw.conj().T)).astype(complex)
+            spec = hermitian_eig(m)
+            vals, vecs = column_loop(m)
+            assert np.array_equal(spec.eigenvalues, vals)
+            assert np.array_equal(spec.eigenvectors, vecs)
+
 
 class TestDisplacedSqueezedVacuum:
     def test_identity_operations_give_vacuum(self):

@@ -148,11 +148,12 @@ class TestOptimizeGaussian:
 
     def test_theta_check_catches_a_tilted_search(self, monkeypatch):
         # planted violation: the squeeze-fraction search runs at
-        # theta_rel = 0.4, where the scan at its optimum finds better phases
-        tilted = optimize._gauss_state
-        monkeypatch.setattr(optimize, "_gauss_state",
-                            lambda nbar, x, theta, policy:
-                            tilted(nbar, x, theta + 0.4, policy))
+        # theta_rel = 0.4, where the scan at its optimum finds better phases;
+        # the grid, the polish and the scan all evaluate through _gauss_values
+        tilted = optimize._gauss_values
+        monkeypatch.setattr(optimize, "_gauss_values",
+                            lambda nbar, xs, thetas, loss, policy:
+                            tilted(nbar, xs, np.asarray(thetas) + 0.4, loss, policy))
         with pytest.raises(ArithmeticError, match="beats theta_rel = 0"):
             optimize_gaussian(0.5, 0.6)
 
