@@ -20,9 +20,8 @@ from .fock import (CutoffPolicy, DensityOperator, FockVector, Spectrum,
                    coherent_state, displaced_squeezed_vacuum, fidelity,
                    fock_state, hermitian_eig, ladder_operators, mean_photon)
 from .montecarlo import ExperimentReport, simulate_fock_estimation
-from .optimize import (OptimizationResult, best_cat, evaluate_result,
-                       optimize_gaussian, optimize_qutrit,
-                       optimize_superposition)
+from .optimize import (OptimizationResult, best_cat, optimize_gaussian,
+                       optimize_qutrit, optimize_superposition)
 from .probes import (Cat, Coherent, Fock, Gaussian, PhotonSubtracted,
                      ProbeSpec, Qubit, Qutrit, Superposition,
                      TruncatedSubtracted, build_probe, nominal_nbar,
@@ -43,7 +42,7 @@ __all__ = [
     "coherent_state", "displaced_squeezed_vacuum", "fidelity", "fock_state",
     "hermitian_eig", "ladder_operators", "mean_photon",
     "ExperimentReport", "simulate_fock_estimation",
-    "OptimizationResult", "best_cat", "evaluate_result", "optimize_gaussian",
+    "OptimizationResult", "best_cat", "optimize_gaussian",
     "optimize_qutrit", "optimize_superposition",
     "Cat", "Coherent", "Fock", "Gaussian", "PhotonSubtracted", "ProbeSpec",
     "Qubit", "Qutrit", "Superposition", "TruncatedSubtracted", "build_probe",

@@ -15,7 +15,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .channel import LossParameter, drho_dphi, evolve
+from .channel import LossParameter
 from .degauss import coverage_check, default_region_grids, region_map
 from .errors import CutoffOverflowError, DegenerateStateError, DomainError
 from .estimation import _qfi_stack, qfi, sld
@@ -129,14 +129,14 @@ def _split_families(text: str) -> list[str]:
 _Optimizer = namedtuple("_Optimizer", "family tag keys run columns")
 _OPTIMIZERS = (
     _Optimizer("qutrit", "qutrit_opt", (),
-               lambda nbar, loss, k, seed, policy: optimize_qutrit(nbar, loss, policy=policy),
+               lambda nbar, loss, k, seed, policy: optimize_qutrit(nbar, loss),
                lambda p: [("beta", p["beta"])]),
     _Optimizer("gaussian", "gaussian_opt", (),
                lambda nbar, loss, k, seed, policy: optimize_gaussian(nbar, loss, policy=policy),
                lambda p: [(key, p[key]) for key in ("squeeze_fraction", "theta_rel", "eta", "r")]),
     _Optimizer("superposition", "superposition_k", ("k",),
                lambda nbar, loss, k, seed, policy: optimize_superposition(
-                   k, nbar, loss, seed=seed, policy=policy),
+                   k, nbar, loss, seed=seed),
                lambda p: [(f"c{m}", f"{c.real:.12g}{c.imag:+.12g}j")
                           for m, c in enumerate(p["coefficients"])]),
     _Optimizer("cat", "cat_best", (),
@@ -259,8 +259,7 @@ def cmd_region(args) -> int:
     _write_table(["eta", "r", "nbar", "beta"],
                  [[p["eta"], p["r"], p["nbar"], p["beta"]] for p in region.points],
                  f"{prefix}_region.{ext}", args.format)
-    report = coverage_check([_loss(p, args) for p in phis], nbars, region,
-                            policy=policy)
+    report = coverage_check([_loss(p, args) for p in phis], nbars, region)
     for p in phis:
         loss = _loss(p, args)
         rows = [[c.phi, c.nbar, c.beta_opt, c.qfi_opt]
@@ -281,9 +280,7 @@ def cmd_region(args) -> int:
 def cmd_sld_dump(args) -> int:
     spec = parse_probe(args.probe)
     loss = _loss(_fnum(args.phi), args)
-    state = build_probe(spec, _policy(args))
-    rho = evolve(state, loss)
-    operator = sld(rho, drho_dphi(rho, loss), loss)
+    operator = sld(build_probe(spec, _policy(args)), loss)
     dim = operator.matrix.shape[0]
     headers = ["eigenvalue"] + [f"re_{m}" for m in range(dim)] + \
               [f"im_{m}" for m in range(dim)]
@@ -380,7 +377,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return USAGE_ERROR
-    except (DomainError, DegenerateStateError, CutoffOverflowError) as exc:
+    except (DomainError, DegenerateStateError, CutoffOverflowError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return ENGINE_ERROR
 

@@ -160,16 +160,14 @@ def region_map(eta_grid=None, r_grid=None,
     return RegionMap(points=points, eta_grid=eta_grid, r_grid=r_grid, skipped=skipped)
 
 
-def coverage_check(phi_list, nbar_grid, region: RegionMap,
-                   delta_nbar: float = COVER_DELTA_NBAR,
-                   delta_beta: float = COVER_DELTA_BETA,
-                   policy: CutoffPolicy | None = None) -> CoverageReport:
+def coverage_check(phi_list, nbar_grid, region: RegionMap) -> CoverageReport:
     """Check that optimal qutrit weights are attainable by truncated states.
 
     For each (phi, nbar) the optimal beta is computed and the region is
-    searched for a sample within (delta_nbar, delta_beta). Misses inside the
-    extreme-loss / low-energy corner are flagged as the permitted exception
-    (there, practically all probes perform at the same near-ultimate level).
+    searched for a sample within (COVER_DELTA_NBAR, COVER_DELTA_BETA).
+    Misses inside the extreme-loss / low-energy corner are flagged as the
+    permitted exception (there, practically all probes perform at the same
+    near-ultimate level).
     """
     from .optimize import optimize_qutrit
 
@@ -181,10 +179,10 @@ def coverage_check(phi_list, nbar_grid, region: RegionMap,
     for phi in phi_list:
         phi_val = float(phi.phi) if hasattr(phi, "phi") else float(phi)
         for nbar in nbar_grid:
-            result = optimize_qutrit(float(nbar), phi_val, policy=policy)
+            result = optimize_qutrit(float(nbar), phi_val)
             beta = result.best_params["beta"]
-            hit = bool(np.any((np.abs(pts_n - nbar) <= delta_nbar)
-                              & (np.abs(pts_b - beta) <= delta_beta)))
+            hit = bool(np.any((np.abs(pts_n - nbar) <= COVER_DELTA_NBAR)
+                              & (np.abs(pts_b - beta) <= COVER_DELTA_BETA)))
             exc = (phi_val >= EXCEPTION_PHI) and (nbar <= EXCEPTION_NBAR)
             out.append(CoveragePoint(phi=phi_val, nbar=float(nbar),
                                      beta_opt=float(beta),

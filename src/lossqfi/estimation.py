@@ -5,7 +5,8 @@ Cramer-Rao variance reporting.
 
 The production pipeline is fully numeric: build the probe, propagate it,
 differentiate analytically, and assemble the SLD in the eigenbasis of the
-output state. Closed forms are kept as independent cross-checks.
+output state. Every QFI, SLD and Fisher number comes from one checked core,
+:func:`_checked_frame`. Closed forms are kept as independent cross-checks.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (LossParameter, _as_loss, _kraus_images, _loss_generator,
-                      drho_dphi, evolve)
+from .channel import LossParameter, _as_loss, _kraus_images, _loss_generator
 from .errors import DomainError
 from .fock import (TRACE_TOL, CutoffPolicy, Spectrum, amplitudes_of,
-                   hermitian_eig, matrix_of, mean_photon)
+                   hermitian_eig, mean_photon)
 from .probes import ProbeSpec, build_probe
 
 __all__ = [
@@ -73,6 +73,17 @@ class EstimationReport:
 def _dagger(m: np.ndarray) -> np.ndarray:
     t = np.swapaxes(m, -1, -2)
     return t.conj() if np.iscomplexobj(t) else t
+
+
+def _density(cols):
+    """rho = C C+ over the Kraus images C of each probe, made exactly Hermitian."""
+    rho = cols @ _dagger(cols)
+    return 0.5 * (rho + _dagger(rho))
+
+
+def _sld_fock(vecs, sld_eig):
+    """The SLD in the Fock basis from the eigenvectors of rho and the SLD in their frame."""
+    return vecs @ sld_eig @ _dagger(vecs)
 
 
 def _sld_frame(rho, drho, trace):
@@ -129,8 +140,7 @@ def _checked_frame(amps, phi):
     if np.iscomplexobj(amps) and not amps.imag.any():
         amps = amps.real
     cols = _kraus_images(amps, phi)
-    rho = cols @ _dagger(cols)
-    rho = 0.5 * (rho + _dagger(rho))
+    rho = _density(cols)
     trace = np.trace(rho, axis1=-2, axis2=-1).real
     off = ~(np.abs(trace - 1.0) <= TRACE_TOL)
     if off.any():
@@ -227,7 +237,7 @@ def _qfi_grad_stack(amps, loss: LossParameter):
     grad = np.empty_like(amps)
     for idx in _chunks(np.full(amps.shape[0], amps.shape[-1])):
         h[idx], cols, vecs, sld_eig = _checked_frame(amps[idx], phi)
-        sld_fock = vecs @ sld_eig @ _dagger(vecs)
+        sld_fock = _sld_fock(vecs, sld_eig)
         g = 2.0 * _loss_generator(sld_fock, phi, adjoint=True) - sld_fock @ sld_fock
         grad[idx] = 2.0 * np.einsum("bin,jin->bj", g @ cols, kraus)
     return h, grad
@@ -242,20 +252,18 @@ def qfi_of_state(state, phi) -> float:
     return float(_qfi_stack(amplitudes_of(state)[None], phi)[0])
 
 
-def sld(rho_phi, drho, phi) -> SLDOperator:
-    """Symmetric logarithmic derivative of the evolved state.
+def sld(state, phi) -> SLDOperator:
+    """Symmetric logarithmic derivative of a pure probe after the channel.
 
-    Solves drho = (rho L + L rho)/2 in the eigenbasis of rho, restricted to
-    eigenvalue pairs inside the support, and returns L in the Fock basis
-    with its spectrum in a deterministic frame.
+    Takes L from the QFI core (:func:`_checked_frame`), so its QFI has
+    passed both routes and the energy bound, and a real probe runs in real
+    arithmetic. L solves drho = (rho L + L rho)/2 on the eigenvalue pairs
+    inside the support and vanishes outside it; it is returned in the Fock
+    basis with its spectrum in a deterministic frame.
     """
     loss = _as_loss(phi)
-    rho_matrix = matrix_of(rho_phi)
-    trace = float(np.trace(rho_matrix).real)
-    if trace <= 0:
-        raise DomainError("state has non-positive trace")
-    _, _, v, sld_eig = _sld_frame(rho_matrix, np.asarray(drho, dtype=complex), trace)
-    matrix = v @ sld_eig @ v.conj().T
+    _, _, vecs, sld_eig = _checked_frame(amplitudes_of(state)[None], loss.phi)
+    matrix = _sld_fock(vecs, sld_eig)[0]
     return SLDOperator(matrix=matrix, spectrum=hermitian_eig(matrix), phi=loss)
 
 
@@ -337,21 +345,22 @@ def classical_fisher(projectors, probe: ProbeSpec, phi,
     probability with a significant derivative returns math.inf (the
     unbounded-information flag) instead of crashing. Every projector must
     act on the evolved state's space; a DomainError names both dimensions
-    otherwise.
+    otherwise. The evolved state comes from the QFI core
+    (:func:`_checked_frame`), so the probe has passed its checks.
     """
-    loss = _as_loss(phi)
-    state = build_probe(probe, policy)
-    rho = evolve(state, loss)
-    drho = drho_dphi(rho, loss)
-    dim = rho.dim
+    phi = _as_loss(phi).phi
+    cols = _checked_frame(amplitudes_of(build_probe(probe, policy))[None], phi)[1]
+    rho = _density(cols)[0]
+    drho = _loss_generator(rho, phi)
+    dim = rho.shape[0]
     total = 0.0
     for item in projectors:
-        proj = np.asarray(item[1] if isinstance(item, tuple) else item, dtype=complex)
+        proj = np.asarray(item[1] if isinstance(item, tuple) else item)
         if proj.shape != (dim, dim):
             raise DomainError(
                 f"projector dimension {proj.shape[0]} differs from the evolved "
                 f"state's dimension {dim}")
-        p = float(np.trace(proj @ rho.matrix).real)
+        p = float(np.trace(proj @ rho).real)
         dp = float(np.trace(proj @ drho).real)
         if p < 1e-14:
             if abs(dp) < 1e-12:

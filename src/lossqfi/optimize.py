@@ -32,7 +32,7 @@ from .probes import (Cat, Gaussian, ProbeSpec, Qutrit, Superposition,
 
 __all__ = [
     "OptimizationResult", "optimize_qutrit", "optimize_superposition",
-    "optimize_gaussian", "best_cat", "evaluate_result",
+    "optimize_gaussian", "best_cat",
 ]
 
 QUTRIT_GRID_POINTS = 721
@@ -79,12 +79,6 @@ class OptimizationResult:
             raise DomainError("optimized QFI exceeds the energy bound")
 
 
-def evaluate_result(result: OptimizationResult,
-                    policy: CutoffPolicy | None = None) -> float:
-    """Re-run the numeric pipeline on the reported optimum."""
-    return qfi_of_state(build_probe(result.probe, policy), result.phi)
-
-
 def _grid_then_polish(f, grid, values, tol):
     """Maximize f given its values on a grid: polish the cells next to the
     best grid point by golden-section search, and keep that grid point when
@@ -112,7 +106,7 @@ def _grid_then_polish(f, grid, values, tol):
     return float(mid), float(best)
 
 
-def optimize_qutrit(nbar: float, phi, policy: CutoffPolicy | None = None) -> OptimizationResult:
+def optimize_qutrit(nbar: float, phi) -> OptimizationResult:
     """Best qutrit weight beta at fixed energy, phases at their optimum pi.
 
     Scans a dense beta grid over [0, pi/2] in one stacked QFI evaluation and
@@ -226,7 +220,7 @@ def _canonical_params(spec: Superposition) -> tuple:
     return tuple(round(v, 12) for c in spec.coefficients for v in (c.real, c.imag))
 
 
-def _warm_starts(kmax: int, nbar: float, loss, policy) -> np.ndarray:
+def _warm_starts(kmax: int, nbar: float, loss) -> np.ndarray:
     """Deterministic starting coefficients: the two-level interpolation
     between neighboring Fock states, the embedded qutrit optimum (energies
     up to 1), and the sparse states sqrt(1 - nbar/j)|0> - sqrt(nbar/j)|j>
@@ -241,7 +235,7 @@ def _warm_starts(kmax: int, nbar: float, loss, policy) -> np.ndarray:
     two_level[low + 1] = -math.sqrt(nbar - low)
     rows = [two_level]
     if kmax >= 2 and nbar <= 1.0:
-        beta = optimize_qutrit(nbar, loss, policy=policy).best_params["beta"]
+        beta = optimize_qutrit(nbar, loss).best_params["beta"]
         rows.append(np.zeros(kmax + 1))
         rows[-1][:3] = _qutrit_amplitudes(nbar, beta).real
     levels = np.arange(max(2, math.floor(nbar) + 1), kmax + 1)
@@ -387,8 +381,7 @@ def _check_phase_maximum(coeffs: np.ndarray, h: float, loss: LossParameter):
 
 
 def optimize_superposition(kmax: int, nbar: float, phi, seed: int = 0,
-                           starts: int = SUPERPOSITION_STARTS,
-                           policy: CutoffPolicy | None = None) -> OptimizationResult:
+                           starts: int = SUPERPOSITION_STARTS) -> OptimizationResult:
     """Best superposition of levels 0..kmax at fixed energy.
 
     Runs a quasi-Newton ascent with the exact gradient on real coefficients
@@ -405,7 +398,7 @@ def optimize_superposition(kmax: int, nbar: float, phi, seed: int = 0,
     if not (0.0 < nbar <= kmax):
         raise DomainError(f"energy {nbar} infeasible for levels up to {kmax}")
     loss = _as_loss(phi)
-    initial = [_slice_coords(_warm_starts(kmax, nbar, loss, policy), nbar)]
+    initial = [_slice_coords(_warm_starts(kmax, nbar, loss), nbar)]
     initial += [_rep_rng(seed, restart).normal(size=(1, kmax + 1))
                 for restart in range(max(starts - len(initial[0]), 0))]
     coeffs, h, grad, converged = _ascend(np.vstack(initial), nbar, loss)

@@ -249,8 +249,7 @@ def test_criterion_11_measurement_attainment():
         for phi in np.linspace(0.15, math.pi / 2 - 0.15, 5):
             loss = LossParameter(float(phi))
             h = qfi(spec, loss).qfi
-            rho = evolve(build_probe(spec), loss)
-            operator = sld(rho, drho_dphi(rho, loss), loss)
+            operator = sld(build_probe(spec), loss)
             fisher = classical_fisher(optimal_measurement(operator), spec, loss)
             worst = max(worst, abs(fisher - h) / h)
     report(11, "SLD measurement attains QFI", worst < 1e-6,

@@ -273,6 +273,21 @@ class TestBadInput:
                 "slack 1e-06, so phi must be raised") in err
 
 
+    def test_a_failed_engine_check_exits_with_a_message(self, tmp_path, capsys, monkeypatch):
+        # a hot-path check that raises ArithmeticError, such as the
+        # superposition search's stationarity check, is an engine error
+        def failing(*args, **kwargs):
+            raise ArithmeticError("planted: the real optimum is not stationary")
+
+        monkeypatch.setattr(lossqfi.cli, "optimize_superposition", failing)
+        code, text = run(tmp_path, "optimize", "--family", "superposition",
+                         "--nbar", "0.5", "--phi", "0.7")
+        assert (code, text) == (1, "")
+        err = capsys.readouterr().err
+        assert err == "error: planted: the real optimum is not stationary\n"
+        assert "Traceback" not in err
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
         ("sld-dump", "gaussian:eta=1,r=1", "--phi", "0.6"),

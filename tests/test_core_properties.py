@@ -33,7 +33,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from lossqfi import LossParameter  # noqa: E402
+from lossqfi import (LossParameter, Superposition, build_probe,  # noqa: E402
+                     classical_fisher, optimal_measurement, qfi_of_state, sld)
 from lossqfi import estimation, optimize  # noqa: E402
 from lossqfi.channel import _kraus_images, evolve, evolve_pure, kraus_operators  # noqa: E402
 from lossqfi.estimation import (RANK_EPS, STACK_BUDGET, _qfi_grad_stack,  # noqa: E402
@@ -42,7 +43,8 @@ from lossqfi.fock import FockVector, _coherent_amplitudes  # noqa: E402
 from lossqfi.optimize import _slice_coords, _slice_point  # noqa: E402
 
 
-def reference_qfi(psi: np.ndarray, phi: float) -> float:
+def reference_state(psi: np.ndarray, phi: float):
+    """rho and drho/dphi of the evolved pure probe, as dense Kraus sums."""
     d = psi.size
     s, c = math.sin(phi), math.cos(phi)
     a = np.diag(np.sqrt(np.arange(1.0, d)), 1)
@@ -60,6 +62,11 @@ def reference_qfi(psi: np.ndarray, phi: float) -> float:
         rho += np.outer(out, out.conj())
         drho += np.outer(dout, out.conj()) + np.outer(out, dout.conj())
         a_n = a @ a_n
+    return rho, drho
+
+
+def reference_qfi(psi: np.ndarray, phi: float) -> float:
+    rho, drho = reference_state(psi, phi)
     lam, vecs = np.linalg.eigh(rho)
     d_eig = vecs.conj().T @ drho @ vecs
     pair = lam[:, None] + lam[None, :]
@@ -319,3 +326,33 @@ def test_no_stacked_core_call_exceeds_the_element_budget(monkeypatch):
     stacked = [(b, d) for b, d in shapes if b > 1]
     assert stacked and max(d for _, d in stacked) > 8
     assert all(b * d * d <= STACK_BUDGET for b, d in stacked)
+
+
+@st.composite
+def superpositions(draw):
+    """A real or complex Superposition of up to 8 levels and a loss angle."""
+    dim = draw(st.integers(1, 8))
+    parts = hnp.arrays(float, dim, elements=st.floats(-1.0, 1.0, allow_nan=False))
+    coeffs = draw(parts) + (1j * draw(parts) if draw(st.booleans()) else 0.0)
+    hypothesis.assume(np.linalg.norm(coeffs) > 1e-3)
+    return Superposition(coeffs), draw(st.floats(0.2, math.pi / 2 - 1e-3))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(superpositions())
+def test_the_sld_measurement_attains_the_qfi(probe):
+    # projective measurement onto the SLD eigenvectors has Fisher information
+    # Tr[rho L^2] = H, and L solves drho = (rho L + L rho)/2 on the support
+    # of the reference rho
+    spec, phi = probe
+    psi = build_probe(spec)
+    h = qfi_of_state(psi, phi)
+    operator = sld(psi, phi)
+    fisher = classical_fisher(optimal_measurement(operator), spec, phi)
+    assert abs(fisher - h) <= 1e-6 * max(h, 1e-3)
+    rho, drho = reference_state(psi.amplitudes, phi)
+    lam, vecs = np.linalg.eigh(rho)
+    support = vecs[:, lam > RANK_EPS * np.trace(rho).real]
+    proj = support @ support.conj().T
+    sym = 0.5 * (rho @ operator.matrix + operator.matrix @ rho)
+    assert np.linalg.norm(proj @ (drho - sym) @ proj) <= 1e-10 * max(np.linalg.norm(drho), 1e-3)

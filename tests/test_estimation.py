@@ -9,6 +9,7 @@ from lossqfi import (Coherent, CutoffPolicy, DomainError, Fock, FockVector,
                      fock_state, optimal_measurement, qfi, qfi_of_state, sld)
 
 from lossqfi import estimation
+from lossqfi.cli import main
 
 PHI_GRID = np.linspace(1e-3, math.pi / 2 - 1e-3, 25)
 
@@ -30,22 +31,19 @@ def fock_sld_reference(n, phi):
 class TestSLD:
     def test_vacuum_probe_zero(self):
         loss = LossParameter(0.6)
-        rho = evolve(fock_state(0), loss)
-        op = sld(rho, drho_dphi(rho, loss), loss)
+        op = sld(fock_state(0), loss)
         assert np.allclose(op.matrix, 0.0, atol=1e-14)
 
     def test_one_photon_balanced(self):
         loss = LossParameter(math.pi / 4)
-        rho = evolve(fock_state(1), loss)
-        op = sld(rho, drho_dphi(rho, loss), loss)
+        op = sld(fock_state(1), loss)
         assert np.allclose(op.matrix, np.diag([2.0, -2.0]), atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     @pytest.mark.parametrize("phi", [0.3, math.pi / 4, 1.1])
     def test_fock_probe_matches_printed_form(self, n, phi):
         loss = LossParameter(phi)
-        rho = evolve(fock_state(n), loss)
-        op = sld(rho, drho_dphi(rho, loss), loss)
+        op = sld(fock_state(n), loss)
         off_diag = op.matrix - np.diag(np.diag(op.matrix))
         assert np.max(np.abs(off_diag)) < 1e-10
         assert np.allclose(np.diag(op.matrix).real, fock_sld_reference(n, phi),
@@ -56,7 +54,7 @@ class TestSLD:
         state = FockVector(np.array([0.5, 0.5j, -0.5, 0.5]))
         rho = evolve(state, loss)
         d = drho_dphi(rho, loss)
-        op = sld(rho, d, loss)
+        op = sld(state, loss)
         sym = 0.5 * (rho.matrix @ op.matrix + op.matrix @ rho.matrix)
         vals, vecs = np.linalg.eigh(rho.matrix)
         support = vecs[:, vals > 1e-12]
@@ -66,8 +64,27 @@ class TestSLD:
     def test_zero_mean_on_state(self):
         loss = LossParameter(0.5)
         rho = evolve(fock_state(3), loss)
-        op = sld(rho, drho_dphi(rho, loss), loss)
+        op = sld(fock_state(3), loss)
         assert abs(np.trace(rho.matrix @ op.matrix).real) <= 1e-9
+
+    def test_sld_and_fisher_pass_the_route_check(self, monkeypatch, tmp_path, capsys):
+        # a planted disagreement of the two QFI routes stops sld(),
+        # classical_fisher and sld-dump, as it stops the QFI
+        frame = estimation._sld_frame
+
+        def split(rho, drho, trace):
+            h_pairs, h_trace, vecs, sld_eig = frame(rho, drho, trace)
+            return h_pairs, 2.0 * h_trace, vecs, sld_eig
+
+        monkeypatch.setattr(estimation, "_sld_frame", split)
+        with pytest.raises(ArithmeticError, match="QFI routes disagree: 4"):
+            sld(fock_state(1), 0.7)
+        with pytest.raises(ArithmeticError, match="QFI routes disagree: 4"):
+            classical_fisher([np.eye(2)], Fock(1), 0.7)
+        out = tmp_path / "sld.csv"
+        assert main(["sld-dump", "fock:n=1", "--phi", "0.7", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "error: QFI routes disagree: 4" in capsys.readouterr().err
 
 
 class TestQFI:
@@ -104,7 +121,7 @@ class TestQFI:
         state = FockVector(np.array([0.3, 0.4, 0.5, 0.6, 0.2]))
         h = qfi_of_state(state, loss)
         rho = evolve(state, loss)
-        op = sld(rho, drho_dphi(rho, loss), loss)
+        op = sld(state, loss)
         h_trace = np.trace(rho.matrix @ op.matrix @ op.matrix).real
         assert h == pytest.approx(h_trace, rel=1e-9)
 
@@ -220,8 +237,7 @@ class TestClosedForms:
 class TestOptimalMeasurement:
     def test_fock_probe_photon_counting(self):
         loss = LossParameter(0.8)
-        rho = evolve(fock_state(2), loss)
-        op = sld(rho, drho_dphi(rho, loss), loss)
+        op = sld(fock_state(2), loss)
         projectors = optimal_measurement(op)
         assert len(projectors) == 3
         for _, proj in projectors:
@@ -234,8 +250,7 @@ class TestOptimalMeasurement:
 
     def test_vacuum_probe(self):
         loss = LossParameter(0.5)
-        rho = evolve(fock_state(0), loss)
-        op = sld(rho, drho_dphi(rho, loss), loss)
+        op = sld(fock_state(0), loss)
         projectors = optimal_measurement(op)
         assert len(projectors) == 1
         assert projectors[0][0] == pytest.approx(0.0, abs=1e-14)
@@ -243,8 +258,7 @@ class TestOptimalMeasurement:
     def test_qubit_probe_two_projectors(self):
         loss = LossParameter(math.pi / 4)
         from lossqfi import build_probe
-        rho = evolve(build_probe(Qubit.from_nbar(0.5)), loss)
-        op = sld(rho, drho_dphi(rho, loss), loss)
+        op = sld(build_probe(Qubit.from_nbar(0.5)), loss)
         projectors = optimal_measurement(op)
         assert len(projectors) == 2
         total = sum(p for _, p in projectors)
@@ -263,8 +277,7 @@ class TestClassicalFisher:
     def test_sld_eigenprojectors_attain_qfi(self):
         loss = LossParameter(math.pi / 3)
         from lossqfi import build_probe
-        rho = evolve(build_probe(Qubit.from_nbar(0.5)), loss)
-        op = sld(rho, drho_dphi(rho, loss), loss)
+        op = sld(build_probe(Qubit.from_nbar(0.5)), loss)
         value = classical_fisher(optimal_measurement(op), Qubit.from_nbar(0.5), loss)
         assert value == pytest.approx(1.75, rel=1e-6)
 
