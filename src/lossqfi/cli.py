@@ -242,7 +242,6 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_region(args) -> int:
-    policy = _policy(args)
     etas = _parse_range(args.eta) if args.eta else None
     rs = _parse_range(args.r) if args.r else None
     if (etas is None) != (rs is None):
@@ -253,7 +252,7 @@ def cmd_region(args) -> int:
             [math.pi / 16, math.pi / 8, math.pi / 4, 3 * math.pi / 8,
              math.pi / 2 - args.phi_min])
     nbars = _parse_range(args.nbar) if args.nbar else np.linspace(0.05, 0.95, 19)
-    region = region_map(etas, rs, policy=policy)
+    region = region_map(etas, rs)
     ext = args.format
     prefix = args.out or "region"
     _write_table(["eta", "r", "nbar", "beta"],

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateStateError, DomainError
-from .fock import (CutoffPolicy, FockVector, _gaussian_amplitudes, _smallest_cutoff,
-                   amplitudes_of)
+from .fock import FockVector, amplitudes_of
 
 __all__ = [
     "RegionMap", "CoveragePoint", "CoverageReport",
@@ -59,8 +58,10 @@ class RegionMap:
     """Sampled attainable (nbar, beta) pairs of 3-level truncated subtracted states.
 
     ``points`` is a structured array with fields eta, r, nbar, beta holding
-    one record per non-degenerate lattice point with nbar <= 1; the sampling
-    lattices are kept alongside so the map is reproducible.
+    one record per lattice point with nbar <= 1 other than the vacuum, in
+    lattice order (eta outer, r inner); ``skipped`` counts the vacuum
+    points. The sampling lattices are kept alongside so the map is
+    reproducible.
     """
 
     points: np.ndarray
@@ -107,16 +108,23 @@ def default_region_grids():
     return etas, rs
 
 
-def region_map(eta_grid=None, r_grid=None,
-               policy: CutoffPolicy | None = None) -> RegionMap:
+def _subtracted_levels(eta, r):
+    """Unnormalized levels 0-2 of the truncated a D(eta) S(r) |0>, stacked on
+    the last axis: k0 = eta (1 + t), k1 = k0^2 - t, k2 = k0 (k0^2 - 3t)/sqrt(2)
+    with t = tanh r. ``eta`` and ``r`` are real and broadcast together."""
+    t = np.tanh(r)
+    k0 = eta * (1.0 + t)
+    return np.stack([k0, k0 * k0 - t, k0 * (k0 * k0 - 3.0 * t) / np.sqrt(2.0)], axis=-1)
+
+
+def region_map(eta_grid=None, r_grid=None) -> RegionMap:
     """Sample the attainable (nbar, beta) region of 3-level truncations.
 
-    For every lattice point: build D(eta) S(r) |0>, subtract one photon,
-    keep three levels, and read off the qutrit coordinates. Each eta row is
-    one array pass over the r grid that reads only levels 1-3 of the cut
-    states. Points with nbar > 1 are dropped; degenerate points (the vacuum
-    at eta = r = 0) and points that need more levels than the cap are
-    skipped and counted, never fatal.
+    Every lattice point takes the closed form of the three kept levels of
+    a D(eta) S(r) |0> (:func:`_subtracted_levels`), one eta row at a time:
+    nbar = (k1^2 + 2 k2^2)/|k|^2 and beta = arctan2(|k1|, |k2|). Points
+    with nbar > 1 are dropped; the vacuum (eta = r = 0), where all three
+    levels vanish, is skipped and counted, never fatal.
     """
     if eta_grid is None and r_grid is None:
         eta_grid, r_grid = default_region_grids()
@@ -126,35 +134,20 @@ def region_map(eta_grid=None, r_grid=None,
         raise DomainError("region grids must be non-empty")
     if np.any(eta_grid < 0):
         raise DomainError("displacement lattice must be non-negative")
-    policy = policy or CutoffPolicy()
-    levels = np.arange(policy.cap)
-    top = levels[1:4]
     fields = [("eta", float), ("r", float), ("nbar", float), ("beta", float)]
     chunks = []
     skipped = 0
     for eta in eta_grid:
-        # one recurrence over the whole r grid, then a cutoff per state
-        amps = _gaussian_amplitudes(eta, r_grid, 0.0, policy.cap)
-        cut = _smallest_cutoff(amps, policy)[:, None]
-        # a|psi> keeps sqrt(n) c_n at level n - 1 for every kept level n < cut
-        norm = np.sqrt(np.sum(np.where(levels < cut, levels * np.abs(amps) ** 2, 0.0), axis=1))
-        low = np.zeros((r_grid.size, 3))
-        low[:, :top.size] = np.where(top < cut, np.sqrt(top) * np.abs(amps[:, top]), 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # the three kept levels of the normalized subtracted state
-            low /= norm[:, None]
-            kept = np.sum(low ** 2, axis=1)
-            c1, c2 = (low[:, 1:] / np.sqrt(kept)[:, None]).T
-        # the same degeneracies photon_subtract, truncate_levels and
-        # qutrit_coords reject: the vacuum, negligible kept levels, beta undefined
-        ok = (cut[:, 0] > 0) & (norm >= 1e-12) & (kept > 1e-12)
-        ok[ok] = c1[ok] + c2[ok] >= 1e-15
+        k0, k1, k2 = _subtracted_levels(eta, r_grid).T
+        norm2 = k0 ** 2 + k1 ** 2 + k2 ** 2
+        ok = norm2 > 0.0
         skipped += int(np.count_nonzero(~ok))
-        nbar = c1 ** 2 + 2.0 * c2 ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nbar = (k1 ** 2 + 2.0 * k2 ** 2) / norm2
         keep = ok & (nbar <= 1.0)
         chunk = np.empty(int(np.count_nonzero(keep)), dtype=fields)
         chunk["eta"], chunk["r"] = eta, r_grid[keep]
-        chunk["nbar"], chunk["beta"] = nbar[keep], np.arctan2(c1[keep], c2[keep])
+        chunk["nbar"], chunk["beta"] = nbar[keep], np.arctan2(np.abs(k1[keep]), np.abs(k2[keep]))
         chunks.append(chunk)
     points = np.concatenate(chunks)
     return RegionMap(points=points, eta_grid=eta_grid, r_grid=r_grid, skipped=skipped)

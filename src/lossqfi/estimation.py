@@ -340,12 +340,12 @@ def classical_fisher(projectors, probe: ProbeSpec, phi,
                      policy: CutoffPolicy | None = None) -> float:
     """Fisher information of a projective measurement on the evolved probe.
 
-    F = sum_x (dp_x)^2 / p_x over outcomes; outcomes with p_x < 1e-14 and
-    |dp_x| < 1e-12 carry no information and are skipped, while a vanishing
-    probability with a significant derivative returns math.inf (the
-    unbounded-information flag) instead of crashing. Every projector must
-    act on the evolved state's space; a DomainError names both dimensions
-    otherwise. The evolved state comes from the QFI core
+    F = sum_x (dp_x)^2 / p_x over outcomes. p_x = Tr[P_x rho] of a projector
+    and a unit-trace rho on D levels is resolved to about D * eps (machine
+    epsilon); an outcome with p_x at or below that is zero to working
+    precision, its (dp_x)^2 / p_x is not resolved, and it is skipped. Every
+    projector must act on the evolved state's space; a DomainError names
+    both dimensions otherwise. The evolved state comes from the QFI core
     (:func:`_checked_frame`), so the probe has passed its checks.
     """
     phi = _as_loss(phi).phi
@@ -353,6 +353,7 @@ def classical_fisher(projectors, probe: ProbeSpec, phi,
     rho = _density(cols)[0]
     drho = _loss_generator(rho, phi)
     dim = rho.shape[0]
+    resolution = dim * np.finfo(float).eps
     total = 0.0
     for item in projectors:
         proj = np.asarray(item[1] if isinstance(item, tuple) else item)
@@ -362,11 +363,8 @@ def classical_fisher(projectors, probe: ProbeSpec, phi,
                 f"state's dimension {dim}")
         p = float(np.trace(proj @ rho).real)
         dp = float(np.trace(proj @ drho).real)
-        if p < 1e-14:
-            if abs(dp) < 1e-12:
-                continue
-            return math.inf
-        total += dp * dp / p
+        if p > resolution:
+            total += dp * dp / p
     return total
 
 

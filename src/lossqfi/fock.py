@@ -217,26 +217,20 @@ def coherent_state(alpha: complex, dim: int | None = None,
     return _cut(_coherent_amplitudes(alpha, policy.cap), policy)
 
 
-def _smallest_cutoff(amps: np.ndarray, policy: CutoffPolicy) -> np.ndarray:
-    """Smallest D <= cap whose neglected population is below tail_tol.
-
-    Works along the last axis of exact, unit-norm amplitudes, so the tail
-    beyond D is 1 - sum_{n<D} |c_n|^2 and needs no levels above the cap.
-    Returns 0 where no D <= cap qualifies.
-    """
-    tail = 1.0 - np.cumsum(np.abs(amps[..., :policy.cap]) ** 2, axis=-1)
-    ok = tail < policy.tail_tol
-    return np.where(ok.any(axis=-1), ok.argmax(axis=-1) + 1, 0)
-
-
 def _cut(amps: np.ndarray, policy: CutoffPolicy) -> FockVector:
-    """The state truncated at :func:`_smallest_cutoff`; raises past the cap."""
-    cut = int(_smallest_cutoff(amps, policy))
-    if cut == 0:
+    """The state truncated at the smallest D <= cap whose neglected
+    population is below tail_tol; raises past the cap.
+
+    The amplitudes are exact and of unit norm, so the tail beyond D is
+    1 - sum_{n<D} |c_n|^2 and needs no levels above the cap.
+    """
+    tail = 1.0 - np.cumsum(np.abs(amps[:policy.cap]) ** 2)
+    ok = np.flatnonzero(tail < policy.tail_tol)
+    if ok.size == 0:
         raise CutoffOverflowError(
             f"the state needs more than {policy.cap} levels to keep its neglected "
             f"population below {policy.tail_tol}; raise --cutoff-cap")
-    return FockVector(amps[:cut])
+    return FockVector(amps[:ok[0] + 1])
 
 
 def _gaussian_amplitudes(eta, r, theta_rel, levels: int,
@@ -250,7 +244,7 @@ def _gaussian_amplitudes(eta, r, theta_rel, levels: int,
     ``eta``, ``r`` and ``theta_rel`` may be arrays, broadcast together; the
     level index is then the last axis. With ``tail_tol`` the recurrence
     stops early: every _TAIL_BLOCK levels it adds them to the running mass
-    in the order :func:`_smallest_cutoff` sums them, and it stops once every
+    in the order :func:`_cut` sums them, and it stops once every
     state's neglected population 1 - sum |c_n|^2 is below ``tail_tol``, so
     no cutoff under that tolerance moves.
     """

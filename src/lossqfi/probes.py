@@ -20,7 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from .degauss import truncate_levels
+from .degauss import _subtracted_levels, truncate_levels
 from .errors import DegenerateStateError, DomainError
 from .fock import (CutoffPolicy, FockVector, _cut, _gaussian_amplitudes, amplitudes_of,
                    coherent_state, displaced_squeezed_vacuum, fock_state)
@@ -166,11 +166,7 @@ def truncated_subtracted_coeffs(eta: float, r: float) -> np.ndarray:
     """
     if eta < 0:
         raise DomainError("displacement modulus must be non-negative")
-    t = math.tanh(r)
-    k0 = eta * (t + 1.0)
-    k1 = k0 * k0 - t
-    k2 = k0 * (k0 * k0 - 3.0 * t) / math.sqrt(2.0)
-    k = np.array([k0, k1, k2])
+    k = _subtracted_levels(eta, r)
     norm = np.linalg.norm(k)
     if norm < 1e-15:
         raise DegenerateStateError("all truncation coefficients vanish at this (eta, r)")

@@ -105,6 +105,16 @@ class TestOptimizeCommand:
         assert abs(float(record["best_qfi"]) - 1.598958287) < 1e-6
         assert record["converged"] == "true"
 
+    def test_superposition_k4_reports_a_stationary_optimum(self, tmp_path):
+        # the highest start here is not stationary; the optimum is chosen
+        # among the starts that pass the stationarity certificate
+        code, text = run(tmp_path, "optimize", "--family", "superposition", "--kmax", "4",
+                         "--nbar", "0.1", "--phi", "1.2")
+        assert code == 0
+        header, row = (ln.split(",") for ln in text.strip().split("\n"))
+        # within the 1e-9 tie of the uncertified start's H
+        assert abs(float(dict(zip(header, row))["best_qfi"]) - 0.35283828202154116) <= 1e-9
+
 
 class TestOptimizerEntries:
     @pytest.mark.parametrize("family,tag,params", [

@@ -33,9 +33,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from lossqfi import (LossParameter, Superposition, build_probe,  # noqa: E402
-                     classical_fisher, optimal_measurement, qfi_of_state, sld)
-from lossqfi import estimation, optimize  # noqa: E402
+from lossqfi import (Cat, Coherent, Fock, Gaussian, LossParameter,  # noqa: E402
+                     PhotonSubtracted, Qubit, Qutrit, Superposition,
+                     TruncatedSubtracted, build_probe, classical_fisher,
+                     optimal_measurement, parse_probe, qfi_of_state, sld)
+from lossqfi import estimation, optimize, probes  # noqa: E402
 from lossqfi.channel import _kraus_images, evolve, evolve_pure, kraus_operators  # noqa: E402
 from lossqfi.estimation import (RANK_EPS, STACK_BUDGET, _qfi_grad_stack,  # noqa: E402
                                 _qfi_stack)
@@ -356,3 +358,51 @@ def test_the_sld_measurement_attains_the_qfi(probe):
     proj = support @ support.conj().T
     sym = 0.5 * (rho @ operator.matrix + operator.matrix @ rho)
     assert np.linalg.norm(proj @ (drho - sym) @ proj) <= 1e-10 * max(np.linalg.norm(drho), 1e-3)
+
+
+def test_the_sld_measurement_resolves_a_small_outcome():
+    # one SLD outcome has p ~ 7e-15, above the resolution 8 eps on 8 levels,
+    # and contributes about 1e-10: F stays finite and equal to H
+    spec = parse_probe("superposition:c=0/0/0/0/0/0/0.0519/-0.882")
+    psi = build_probe(spec)
+    h = qfi_of_state(psi, 1.4728)
+    fisher = classical_fisher(optimal_measurement(sld(psi, 1.4728)), spec, 1.4728)
+    assert abs(fisher - h) <= 1e-6 * h
+
+
+_unit = st.floats(0.0, 1.0)
+_angle = st.floats(0.0, 2.0 * math.pi)
+# one strategy per probe family, with parameters where each builds in well
+# under 200 levels
+FAMILY_SPECS = {
+    "fock": st.builds(Fock, st.integers(0, 8)),
+    "qubit": st.builds(Qubit, st.floats(0.0, math.pi / 2), _angle),
+    "qutrit": st.builds(Qutrit, st.floats(0.01, 1.0), st.floats(0.0, math.pi / 2),
+                        _angle, _angle),
+    "superposition": st.builds(
+        lambda re, im: Superposition(np.append(re + 1j * im, 1.0)),
+        hnp.arrays(float, 4, elements=_unit), hnp.arrays(float, 4, elements=_unit)),
+    "coherent": st.builds(lambda a, t: Coherent(a * np.exp(1j * t)), st.floats(0.0, 2.0),
+                          _angle),
+    "cat": st.builds(Cat, st.floats(0.1, 2.0), st.sampled_from([1, -1])),
+    "gaussian": st.builds(lambda a, t, r, th: Gaussian(a * np.exp(1j * t), r, th),
+                          st.floats(0.0, 1.5), _angle, st.floats(-1.0, 1.0), _angle),
+    "subtracted": st.builds(PhotonSubtracted, st.floats(0.05, 1.5), st.floats(-1.0, 1.0)),
+    "truncsub": st.builds(TruncatedSubtracted, st.floats(0.05, 1.5), st.floats(-1.0, 1.0),
+                          st.integers(2, 6)),
+}
+
+
+def test_every_family_has_a_strategy():
+    assert set(FAMILY_SPECS) == set(probes._FAMILIES)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(st.one_of(*FAMILY_SPECS.values()), _angle, st.floats(0.2, math.pi / 2 - 1e-3))
+def test_every_family_is_phase_covariant(spec, theta, phi):
+    # the loss channel commutes with e^{i theta N}, so rotating any probe
+    # leaves its QFI alone
+    amps = build_probe(spec).amplitudes
+    h = qfi_of_state(amps, phi)
+    rotated = qfi_of_state(amps * np.exp(1j * theta * np.arange(amps.size)), phi)
+    assert abs(rotated - h) <= 1e-9 * max(h, 1e-3)

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from lossqfi import (CutoffPolicy, DomainError, coherent_state, coverage_check,
+from lossqfi import (DomainError, coherent_state, coverage_check,
                      displaced_squeezed_vacuum, fidelity, fock_state,
                      mean_photon, photon_subtract, qutrit_coords, region_map,
                      truncate_levels, truncated_subtracted_coeffs)
-from lossqfi.errors import CutoffOverflowError, DegenerateStateError
+from lossqfi.errors import DegenerateStateError
 
 
 class TestPhotonSubtract:
@@ -117,29 +117,27 @@ class TestRegionMap:
         with pytest.raises(DomainError):
             region_map(np.array([]), np.array([0.1]))
 
-    @pytest.mark.parametrize("cap", [200, 12])
-    def test_matches_per_point_pipeline(self, cap):
-        # the lattice holds the vacuum (D = 1), the D = 2 and D = 3 cutoffs
-        # near the origin, points above nbar = 1 and, under cap 12, overflows
+    def test_matches_per_point_pipeline(self):
+        # levels 1-3 of D S|0> fix the three kept levels of the subtracted
+        # state, so an explicit dimension of 8 needs no cutoff; the lattice
+        # holds the vacuum, points near the origin where a tail cutoff would
+        # drop level 3, and points above nbar = 1
         etas = np.array([0.0, 0.001, 0.003, 0.025, 0.05, 0.4, 1.0, 1.9])
         rs = np.array([-1.0, -0.3, -0.001, 0.0, 0.001, 0.3, 1.0])
-        policy = CutoffPolicy(cap=cap)
-        expected, skipped, dims = [], 0, set()
+        expected, skipped = [], 0
         for eta in etas:
             for r in rs:
                 try:
-                    state = displaced_squeezed_vacuum(eta, r, policy=policy)
-                    dims.add(state.dim)
+                    state = displaced_squeezed_vacuum(eta, r, dim=8)
                     nbar, beta = qutrit_coords(truncate_levels(photon_subtract(state), 3))
-                except (CutoffOverflowError, DegenerateStateError, DomainError):
+                except DegenerateStateError:
                     skipped += 1
                     continue
                 if nbar <= 1.0:
                     expected.append((eta, r, nbar, beta))
-        assert {1, 2, 3} <= dims
-        region = region_map(etas, rs, policy=policy)
+        region = region_map(etas, rs)
         pts = region.points
-        assert region.skipped == skipped
+        assert region.skipped == skipped == 1
         assert list(zip(pts["eta"], pts["r"])) == [(e, r) for e, r, _, _ in expected]
         want = np.array([(n, b) for _, _, n, b in expected])
         assert np.max(np.abs(pts["nbar"] - want[:, 0])) <= 1e-14

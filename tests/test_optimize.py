@@ -46,6 +46,23 @@ class TestOptimizeQutrit:
 
 
 class TestOptimizeSuperposition:
+    @pytest.mark.parametrize("kmax,nbar,phi,uncertified", [
+        (4, 0.1, 1.2056256853388474, 0.3541879425146024),
+        (5, 0.1, 1.2056256853388474, 0.3541879425122731),
+        (4, 0.05, 1.1191, 0.1639035637770845),
+        (5, 0.05, 1.1191, 0.1639035637845178),
+    ])
+    def test_optimum_is_chosen_among_stationary_starts(self, kmax, nbar, phi, uncertified):
+        # the start with the highest H (or the tie-break among near-equal
+        # ones) is not stationary at these points; a stationary start holds
+        # the same H within the 1e-9 tie
+        res = optimize_superposition(kmax, nbar, phi, seed=0)
+        assert abs(res.best_qfi - uncertified) <= optimize.TIE_TOL
+        coeffs = np.array(res.best_params["coefficients"]).real
+        grad = optimize._qfi_grad_stack(coeffs[None], LossParameter(phi))[1]
+        residual = optimize._stationary_residual(coeffs[None], grad)[0]
+        assert residual <= optimize.STATIONARY_TOL / math.sin(phi) ** 2
+
     def test_single_level_is_qubit(self):
         # kmax = 1 leaves no magnitude freedom at fixed energy
         res = optimize_superposition(1, 0.5, math.pi / 3, seed=0, starts=4)
