@@ -16,7 +16,7 @@ from .errors import CutoffOverflowError, DegenerateStateError, DomainError
 from .estimation import (EstimationReport, SLDOperator, classical_fisher,
                          closed_form_qfi, cramer_rao, optimal_measurement,
                          qfi, qfi_of_state, sld)
-from .fock import (CutoffPolicy, DensityOperator, FockVector, Spectrum,
+from .fock import (DensityOperator, FockVector, Spectrum,
                    coherent_state, displaced_squeezed_vacuum, fidelity,
                    fock_state, hermitian_eig, ladder_operators, mean_photon)
 from .montecarlo import ExperimentReport, simulate_fock_estimation
@@ -38,7 +38,7 @@ __all__ = [
     "CutoffOverflowError", "DegenerateStateError", "DomainError",
     "EstimationReport", "SLDOperator", "classical_fisher", "closed_form_qfi",
     "cramer_rao", "optimal_measurement", "qfi", "qfi_of_state", "sld",
-    "CutoffPolicy", "DensityOperator", "FockVector", "Spectrum",
+    "DensityOperator", "FockVector", "Spectrum",
     "coherent_state", "displaced_squeezed_vacuum", "fidelity", "fock_state",
     "hermitian_eig", "ladder_operators", "mean_photon",
     "ExperimentReport", "simulate_fock_estimation",

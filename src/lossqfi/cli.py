@@ -19,7 +19,7 @@ from .channel import LossParameter
 from .degauss import coverage_check, default_region_grids, region_map
 from .errors import CutoffOverflowError, DegenerateStateError, DomainError
 from .estimation import _qfi_stack, qfi, sld
-from .fock import CutoffPolicy, mean_photon
+from .fock import mean_photon
 from .montecarlo import simulate_fock_estimation
 from .optimize import (best_cat, optimize_gaussian, optimize_qutrit,
                        optimize_superposition)
@@ -95,10 +95,6 @@ def _parse_range(text: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _policy(args) -> CutoffPolicy:
-    return CutoffPolicy(tail_tol=args.tail_tol, cap=args.cutoff_cap)
-
-
 def _loss(value: float, args) -> LossParameter:
     return LossParameter(value, phi_min=args.phi_min)
 
@@ -124,23 +120,22 @@ def _split_families(text: str) -> list[str]:
 
 # One fixed-energy optimizer: its `optimize --family` name, its sweep tag, the
 # sweep keys it takes besides nbar, its call at (nbar, loss, superposition
-# order k, seed, policy), and the extra columns `optimize` prints from its
-# best parameters.
+# order k, seed), and the extra columns `optimize` prints from its best
+# parameters.
 _Optimizer = namedtuple("_Optimizer", "family tag keys run columns")
 _OPTIMIZERS = (
     _Optimizer("qutrit", "qutrit_opt", (),
-               lambda nbar, loss, k, seed, policy: optimize_qutrit(nbar, loss),
+               lambda nbar, loss, k, seed: optimize_qutrit(nbar, loss),
                lambda p: [("beta", p["beta"])]),
     _Optimizer("gaussian", "gaussian_opt", (),
-               lambda nbar, loss, k, seed, policy: optimize_gaussian(nbar, loss, policy=policy),
+               lambda nbar, loss, k, seed: optimize_gaussian(nbar, loss),
                lambda p: [(key, p[key]) for key in ("squeeze_fraction", "theta_rel", "eta", "r")]),
     _Optimizer("superposition", "superposition_k", ("k",),
-               lambda nbar, loss, k, seed, policy: optimize_superposition(
-                   k, nbar, loss, seed=seed),
+               lambda nbar, loss, k, seed: optimize_superposition(k, nbar, loss, seed=seed),
                lambda p: [(f"c{m}", f"{c.real:.12g}{c.imag:+.12g}j")
                           for m, c in enumerate(p["coefficients"])]),
     _Optimizer("cat", "cat_best", (),
-               lambda nbar, loss, k, seed, policy: best_cat(nbar, loss, policy=policy),
+               lambda nbar, loss, k, seed: best_cat(nbar, loss),
                lambda p: [("alpha", p["alpha"]), ("sign", p["sign"])]),
 )
 _OPTIMIZER_FAMILIES = {opt.family: opt for opt in _OPTIMIZERS}
@@ -157,11 +152,10 @@ def _order(kv: dict) -> int:
 
 
 def _sweep_phi_rows(family: str, phis, args):
-    policy = _policy(args)
     head, _, body = family.partition(":")
     opt = _OPTIMIZER_TAGS.get(head)
     if opt is None:
-        state = build_probe(parse_probe(family), policy)
+        state = build_probe(parse_probe(family))
         nbar = mean_photon(state)
         hs = _qfi_stack([state] * len(phis), [_loss(p, args) for p in phis])
         return [[family, p, nbar, h, 4.0 * nbar] for p, h in zip(phis, hs)]
@@ -171,7 +165,7 @@ def _sweep_phi_rows(family: str, phis, args):
     nbar = _fnum(kv["nbar"])
     rows = []
     for p in phis:
-        res = opt.run(nbar, _loss(p, args), _order(kv), args.seed, policy)
+        res = opt.run(nbar, _loss(p, args), _order(kv), args.seed)
         rows.append([family, p, res.nbar, res.best_qfi, 4.0 * res.nbar])
     return rows
 
@@ -188,16 +182,15 @@ def cmd_sweep_phi(args) -> int:
 
 
 def _sweep_energy_value(tag: str, nbar: float, loss, args):
-    policy = _policy(args)
     head, _, body = tag.partition(":")
     opt = _OPTIMIZER_TAGS.get(head)
     if opt is not None:
         kv = _parse_kv(head, body, opt.keys)
-        return opt.run(nbar, loss, _order(kv), args.seed, policy).best_qfi
+        return opt.run(nbar, loss, _order(kv), args.seed).best_qfi
     if head not in _FAMILIES or _FAMILIES[head].from_nbar is None:
         raise ConfigError(f"unknown energy-sweep family {tag!r}")
     _parse_kv(head, body, ())
-    return qfi(_FAMILIES[head].from_nbar(nbar), loss, policy=policy).qfi
+    return qfi(_FAMILIES[head].from_nbar(nbar), loss).qfi
 
 
 def cmd_sweep_energy(args) -> int:
@@ -216,8 +209,7 @@ def cmd_sweep_energy(args) -> int:
 
 def cmd_qfi(args) -> int:
     spec = parse_probe(args.probe)
-    rep = qfi(spec, _loss(_fnum(args.phi), args), runs=args.runs,
-              policy=_policy(args))
+    rep = qfi(spec, _loss(_fnum(args.phi), args), runs=args.runs)
     headers = ["probe", "phi", "nbar", "qfi", "ultimate_bound",
                "crlb_variance", "ultimate_variance", "runs", "method"]
     ult_var = 1.0 / (4.0 * rep.nbar * rep.runs) if rep.nbar > 0 else math.inf
@@ -231,7 +223,7 @@ def cmd_qfi(args) -> int:
 def cmd_optimize(args) -> int:
     loss = _loss(_fnum(args.phi), args)
     opt = _OPTIMIZER_FAMILIES[args.family]
-    res = opt.run(args.nbar, loss, args.kmax, args.seed, _policy(args))
+    res = opt.run(args.nbar, loss, args.kmax, args.seed)
     extras = opt.columns(res.best_params)
     headers = (["family", "nbar", "phi", "best_qfi", "ultimate_bound",
                 "starts", "converged", "seed"] + [k for k, _ in extras])
@@ -279,7 +271,7 @@ def cmd_region(args) -> int:
 def cmd_sld_dump(args) -> int:
     spec = parse_probe(args.probe)
     loss = _loss(_fnum(args.phi), args)
-    operator = sld(build_probe(spec, _policy(args)), loss)
+    operator = sld(build_probe(spec), loss)
     dim = operator.matrix.shape[0]
     headers = ["eigenvalue"] + [f"re_{m}" for m in range(dim)] + \
               [f"im_{m}" for m in range(dim)]
@@ -310,16 +302,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lossqfi",
         description="QFI toolkit for loss estimation in bosonic channels")
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--cutoff-cap", type=int, default=200)
-    shared.add_argument("--tail-tol", type=float, default=1e-10)
     shared.add_argument("--phi-min", type=float, default=1e-3)
-    shared.add_argument("--seed", type=int, default=0)
     shared.add_argument("--out", default=None)
     shared.add_argument("--format", choices=("csv", "json"), default="csv")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[shared], **kwargs)
+    def add_parser(name, seed=False, **kwargs):
+        return sub.add_parser(name, parents=[shared, seeded] if seed else [shared], **kwargs)
 
     p = add_parser("qfi", help="QFI of a single probe at one loss value")
     p.add_argument("probe")
@@ -327,18 +318,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=1)
     p.set_defaults(func=cmd_qfi)
 
-    p = add_parser("sweep-phi", help="QFI versus loss for probe families")
+    p = add_parser("sweep-phi", seed=True, help="QFI versus loss for probe families")
     p.add_argument("--families", required=True)
     p.add_argument("--phi", default=None, help="start:stop:count")
     p.set_defaults(func=cmd_sweep_phi)
 
-    p = add_parser("sweep-energy", help="QFI versus energy at fixed loss")
+    p = add_parser("sweep-energy", seed=True, help="QFI versus energy at fixed loss")
     p.add_argument("--families", required=True)
     p.add_argument("--nbar", required=True, help="start:stop:count")
     p.add_argument("--phi", required=True)
     p.set_defaults(func=cmd_sweep_energy)
 
-    p = add_parser("optimize", help="optimize one family at fixed energy")
+    p = add_parser("optimize", seed=True, help="optimize one family at fixed energy")
     p.add_argument("--family", required=True,
                    choices=tuple(_OPTIMIZER_FAMILIES))
     p.add_argument("--nbar", type=float, required=True)
@@ -358,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", required=True)
     p.set_defaults(func=cmd_sld_dump)
 
-    p = add_parser("simulate", help="Monte Carlo photon-counting runs")
+    p = add_parser("simulate", seed=True, help="Monte Carlo photon-counting runs")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--phi", required=True)
     p.add_argument("--runs", type=int, required=True)

@@ -10,4 +10,4 @@ class DegenerateStateError(ValueError):
 
 
 class CutoffOverflowError(RuntimeError):
-    """The requested tail tolerance cannot be met under the cutoff cap."""
+    """A state needs more Fock levels than a measured cutoff may take."""

@@ -18,8 +18,7 @@ import numpy as np
 
 from .channel import LossParameter, _as_loss, _kraus_images, _loss_generator
 from .errors import DomainError
-from .fock import (TRACE_TOL, CutoffPolicy, Spectrum, amplitudes_of,
-                   hermitian_eig, mean_photon)
+from .fock import TRACE_TOL, Spectrum, amplitudes_of, hermitian_eig, mean_photon
 from .probes import ProbeSpec, build_probe
 
 __all__ = [
@@ -267,8 +266,7 @@ def sld(state, phi) -> SLDOperator:
     return SLDOperator(matrix=matrix, spectrum=hermitian_eig(matrix), phi=loss)
 
 
-def qfi(probe: ProbeSpec, phi, runs: int = 1,
-        policy: CutoffPolicy | None = None) -> EstimationReport:
+def qfi(probe: ProbeSpec, phi, runs: int = 1) -> EstimationReport:
     """QFI of a probe family member, as an EstimationReport.
 
     The report carries the per-run QFI, the energy bound 4 nbar, and the
@@ -277,7 +275,7 @@ def qfi(probe: ProbeSpec, phi, runs: int = 1,
     if runs < 1:
         raise DomainError("run count must be at least 1")
     loss = _as_loss(phi)
-    state = build_probe(probe, policy)
+    state = build_probe(probe)
     nbar = mean_photon(state)
     h = qfi_of_state(state, loss)
     crlb = (1.0 / (runs * h)) if h > 0 else math.inf
@@ -336,8 +334,7 @@ def optimal_measurement(sld_op: SLDOperator):
             for k in range(vals.size)]
 
 
-def classical_fisher(projectors, probe: ProbeSpec, phi,
-                     policy: CutoffPolicy | None = None) -> float:
+def classical_fisher(projectors, probe: ProbeSpec, phi) -> float:
     """Fisher information of a projective measurement on the evolved probe.
 
     F = sum_x (dp_x)^2 / p_x over outcomes. p_x = Tr[P_x rho] of a projector
@@ -349,7 +346,7 @@ def classical_fisher(projectors, probe: ProbeSpec, phi,
     (:func:`_checked_frame`), so the probe has passed its checks.
     """
     phi = _as_loss(phi).phi
-    cols = _checked_frame(amplitudes_of(build_probe(probe, policy))[None], phi)[1]
+    cols = _checked_frame(amplitudes_of(build_probe(probe))[None], phi)[1]
     rho = _density(cols)[0]
     drho = _loss_generator(rho, phi)
     dim = rho.shape[0]

@@ -25,7 +25,7 @@ import numpy as np
 from .channel import LossParameter, _as_loss
 from .errors import DomainError
 from .estimation import QFI_ROUNDOFF, _qfi_grad_stack, _qfi_stack, qfi_of_state
-from .fock import CutoffPolicy, _cut, _gaussian_amplitudes, mean_photon
+from .fock import _cut, _gaussian_amplitudes, mean_photon
 from .montecarlo import _rep_rng
 from .probes import (Cat, Gaussian, ProbeSpec, Qutrit, Superposition,
                      _qutrit_amplitudes, build_probe, cat_alpha_for_energy)
@@ -271,7 +271,7 @@ def _ascend(u: np.ndarray, nbar: float, loss: LossParameter):
     max(1, H), or after SEARCH_MAX_ITER passes. Starts where the chart is
     singular (a Fock state |nbar>) have a zero gradient and never move.
     Returns the final coefficients, H, dH/dc, and whether each start
-    stopped before the cap.
+    stopped before SEARCH_MAX_ITER passes.
     """
     n = u.shape[-1]
     u, coeffs, h, grad, slope = _slice_value(u, nbar, loss)
@@ -427,23 +427,21 @@ def optimize_superposition(kmax: int, nbar: float, phi, seed: int = 0,
 # displaced squeezed vacuum
 
 
-def _gauss_values(nbar: float, xs, thetas, loss: LossParameter,
-                  policy: CutoffPolicy) -> np.ndarray:
+def _gauss_values(nbar: float, xs, thetas, loss: LossParameter) -> np.ndarray:
     """H of the displaced squeezed vacua with squeeze fractions ``xs`` and
     relative phases ``thetas`` (broadcast together) at energy nbar, from one
     recurrence over all of them and one stacked core call; each state is cut
-    by the policy exactly as :func:`displaced_squeezed_vacuum` cuts it."""
+    exactly as :func:`displaced_squeezed_vacuum` cuts it."""
     xs = np.clip(xs, 0.0, 1.0)
     r = np.arcsinh(np.sqrt(xs * nbar))
     eta = np.sqrt(np.maximum((1.0 - xs) * nbar, 0.0))
     # one scalar x keeps the recurrence in scalar arithmetic, much faster than
     # an array of one
-    amps = _gaussian_amplitudes(eta, r, thetas, policy.cap, policy.tail_tol)
-    return _qfi_stack([_cut(row, policy) for row in amps.reshape(-1, amps.shape[-1])], loss)
+    amps = _gaussian_amplitudes(eta, r, thetas)
+    return _qfi_stack([_cut(row) for row in amps.reshape(-1, amps.shape[-1])], loss)
 
 
-def optimize_gaussian(nbar: float, phi,
-                      policy: CutoffPolicy | None = None) -> OptimizationResult:
+def optimize_gaussian(nbar: float, phi) -> OptimizationResult:
     """Best displaced squeezed vacuum at fixed energy.
 
     Splits the energy as sinh(r)^2 = x nbar, |eta|^2 = (1-x) nbar and
@@ -458,16 +456,15 @@ def optimize_gaussian(nbar: float, phi,
     if not nbar > 0:
         raise DomainError("energy must be positive")
     loss = _as_loss(phi)
-    policy = policy or CutoffPolicy()
 
     def value(x):
-        return _gauss_values(nbar, x, 0.0, loss, policy)[0]
+        return _gauss_values(nbar, x, 0.0, loss)[0]
 
     grid = np.linspace(0.0, 1.0, GAUSS_GRID_POINTS)
-    x, h = _grid_then_polish(value, grid, _gauss_values(nbar, grid, 0.0, loss, policy),
+    x, h = _grid_then_polish(value, grid, _gauss_values(nbar, grid, 0.0, loss),
                              GAUSS_X_TOL)
     thetas = np.linspace(0.0, 2.0 * math.pi, GAUSS_THETA_SCAN, endpoint=False)
-    scan = _gauss_values(nbar, x, thetas, loss, policy)
+    scan = _gauss_values(nbar, x, thetas, loss)
     i = int(np.argmax(scan))
     roundoff = QFI_ROUNDOFF / math.sin(loss.phi) ** 2
     if scan[i] > h + max(GAUSS_THETA_TOL, roundoff) * max(1.0, h):
@@ -482,7 +479,7 @@ def optimize_gaussian(nbar: float, phi,
         probe=Gaussian(eta, r, 0.0))
 
 
-def best_cat(nbar: float, phi, policy: CutoffPolicy | None = None) -> OptimizationResult:
+def best_cat(nbar: float, phi) -> OptimizationResult:
     """QFI of the better cat parity at fixed energy.
 
     Solves the amplitude for each feasible parity (odd cats only exist above
@@ -496,7 +493,7 @@ def best_cat(nbar: float, phi, policy: CutoffPolicy | None = None) -> Optimizati
         except DomainError:
             continue
         spec = Cat(alpha, sign)
-        state = build_probe(spec, policy)
+        state = build_probe(spec)
         candidates.append((qfi_of_state(state, loss), alpha, sign, spec,
                            mean_photon(state)))
     if not candidates:

@@ -20,10 +20,10 @@ from typing import Union
 
 import numpy as np
 
-from .degauss import _subtracted_levels, truncate_levels
+from .degauss import _subtracted_levels
 from .errors import DegenerateStateError, DomainError
-from .fock import (CutoffPolicy, FockVector, _cut, _gaussian_amplitudes, amplitudes_of,
-                   coherent_state, displaced_squeezed_vacuum, fock_state)
+from .fock import (FockVector, _cut, _subtracted_amplitudes, amplitudes_of, coherent_state,
+                   displaced_squeezed_vacuum, fock_state)
 
 __all__ = [
     "Fock", "Qubit", "Qutrit", "Superposition", "Coherent", "Cat",
@@ -239,23 +239,21 @@ def _qutrit_amplitudes(nbar: float, beta, mu: float = np.pi, nu: float = np.pi) 
     ], axis=-1)
 
 
-def _cat_state(alpha: float, sign: int, policy: CutoffPolicy) -> FockVector:
-    base = coherent_state(alpha, policy=policy).amplitudes
+def _cat_state(alpha: float, sign: int) -> FockVector:
+    base = coherent_state(alpha).amplitudes
     return FockVector(base * (1.0 + sign * (-1.0) ** np.arange(base.size)))
 
 
-def _subtracted_state(eta: float, r: float, policy: CutoffPolicy) -> FockVector:
+def _subtracted_state(eta: float, r: float) -> FockVector:
     """a D(eta) S(r)|0>, normalized and cut on its own tail.
 
-    Level n is sqrt(n+1) c_{n+1}, with c_n the amplitudes of D(eta) S(r)|0>,
-    and the exact norm is sqrt(<a+ a>) = sqrt(|eta|^2 + sinh(r)^2), so the
-    tail beyond a cutoff needs no levels above the cap.
+    The exact norm is sqrt(<a+ a>) = sqrt(|eta|^2 + sinh(r)^2), so the tail
+    beyond a cutoff needs no levels above it.
     """
     norm = math.hypot(abs(eta), math.sinh(r))
     if norm == 0.0:
         raise DegenerateStateError("photon subtraction annihilates the vacuum")
-    c = _gaussian_amplitudes(eta, r, 0.0, policy.cap + 1)
-    return _cut(np.sqrt(np.arange(1, policy.cap + 1)) * c[1:] / norm, policy)
+    return _cut(_subtracted_amplitudes(eta, r) / norm)
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +330,12 @@ _Family = namedtuple("_Family", "spec keys parse build label nbar from_nbar",
 _FAMILIES = {
     "fock": _Family(
         Fock, ("n",), parse=lambda kv: Fock(int(kv["n"])),
-        build=lambda s, policy: fock_state(s.n),
+        build=lambda s: fock_state(s.n),
         label=lambda s: f"fock:n={s.n}",
         nbar=lambda s: float(s.n), from_nbar=Fock.from_nbar),
     "qubit": _Family(
         Qubit, ("theta", "nbar", "varphi"), parse=_parse_qubit,
-        build=lambda s, policy: FockVector(np.array(
+        build=lambda s: FockVector(np.array(
             [math.cos(s.theta), np.exp(1j * s.varphi) * math.sin(s.theta)])),
         label=lambda s: f"qubit:theta={s.theta:.12g},varphi={s.varphi:.12g}",
         nbar=lambda s: math.sin(s.theta) ** 2, from_nbar=Qubit.from_nbar),
@@ -345,49 +343,47 @@ _FAMILIES = {
         Qutrit, ("nbar", "beta", "mu", "nu"),
         parse=lambda kv: Qutrit(_fnum(kv["nbar"]), _fnum(kv["beta"]),
                                 _fnum(kv.get("mu", "pi")), _fnum(kv.get("nu", "pi"))),
-        build=lambda s, policy: FockVector(_qutrit_amplitudes(s.nbar, s.beta, s.mu, s.nu)),
+        build=lambda s: FockVector(_qutrit_amplitudes(s.nbar, s.beta, s.mu, s.nu)),
         label=lambda s: (f"qutrit:nbar={s.nbar:.12g},beta={s.beta:.12g},"
                          f"mu={s.mu:.12g},nu={s.nu:.12g}"),
         nbar=lambda s: s.nbar),
     "superposition": _Family(
         Superposition, ("c",),
         parse=lambda kv: Superposition([complex(c) for c in kv["c"].split("/")]),
-        build=lambda s, policy: FockVector(np.array(s.coefficients, dtype=complex)),
+        build=lambda s: FockVector(np.array(s.coefficients, dtype=complex)),
         label=lambda s: "superposition:c=" + "/".join(
             f"{c.real:.12g}{c.imag:+.12g}j" for c in s.coefficients),
         nbar=lambda s: float(sum(m * abs(c) ** 2 for m, c in enumerate(s.coefficients)))),
     "coherent": _Family(
         Coherent, ("alpha",), parse=lambda kv: Coherent(complex(kv["alpha"])),
-        build=lambda s, policy: coherent_state(s.alpha, policy=policy),
+        build=lambda s: coherent_state(s.alpha),
         label=lambda s: f"coherent:alpha={_real_or_complex(s.alpha)}",
         nbar=lambda s: abs(s.alpha) ** 2,
         from_nbar=_coherent_from_nbar),
     "cat": _Family(
         Cat, ("alpha", "sign"),
         parse=lambda kv: Cat(_fnum(kv["alpha"]), _CAT_SIGNS[kv.get("sign", "+")]),
-        build=lambda s, policy: _cat_state(s.alpha, s.sign, policy),
+        build=lambda s: _cat_state(s.alpha, s.sign),
         label=lambda s: f"cat:alpha={s.alpha:.12g},sign={'+' if s.sign > 0 else '-'}",
         nbar=lambda s: cat_mean_photon(s.alpha, s.sign)),
     "gaussian": _Family(
         Gaussian, ("eta", "r", "theta"),
         parse=lambda kv: Gaussian(complex(kv.get("eta", "0")), _fnum(kv.get("r", "0")),
                                   _fnum(kv.get("theta", "0"))),
-        build=lambda s, policy: displaced_squeezed_vacuum(s.eta, s.r, s.theta_rel,
-                                                          policy=policy),
+        build=lambda s: displaced_squeezed_vacuum(s.eta, s.r, s.theta_rel),
         label=lambda s: (f"gaussian:eta={_real_or_complex(s.eta)},r={s.r:.12g},"
                          f"theta={s.theta_rel:.12g}"),
         nbar=lambda s: abs(s.eta) ** 2 + math.sinh(s.r) ** 2),
     "subtracted": _Family(
         PhotonSubtracted, ("eta", "r"),
         parse=lambda kv: PhotonSubtracted(_fnum(kv["eta"]), _fnum(kv["r"])),
-        build=lambda s, policy: _subtracted_state(s.eta, s.r, policy),
+        build=lambda s: _subtracted_state(s.eta, s.r),
         label=lambda s: f"subtracted:eta={s.eta:.12g},r={s.r:.12g}"),
     "truncsub": _Family(
         TruncatedSubtracted, ("eta", "r", "levels"),
         parse=lambda kv: TruncatedSubtracted(_fnum(kv["eta"]), _fnum(kv["r"]),
                                              int(kv.get("levels", "3"))),
-        build=lambda s, policy: truncate_levels(_subtracted_state(s.eta, s.r, policy),
-                                                s.levels),
+        build=lambda s: FockVector(_subtracted_amplitudes(s.eta, s.r, s.levels)),
         label=lambda s: f"truncsub:eta={s.eta:.12g},r={s.r:.12g},levels={s.levels}"),
 }
 _FAMILY_OF = {family.spec: family for family in _FAMILIES.values()}
@@ -399,7 +395,7 @@ def _family(spec: ProbeSpec) -> _Family:
     return _FAMILY_OF[type(spec)]
 
 
-def build_probe(spec: ProbeSpec, policy: CutoffPolicy | None = None) -> FockVector:
+def build_probe(spec: ProbeSpec) -> FockVector:
     """Construct the normalized probe state for any spec family.
 
     A NaN or infinite parameter is rejected by name before any family's
@@ -410,7 +406,7 @@ def build_probe(spec: ProbeSpec, policy: CutoffPolicy | None = None) -> FockVect
         value = getattr(spec, field.name)
         if not all(map(cmath.isfinite, value if isinstance(value, tuple) else (value,))):
             raise DomainError(f"{probe_label(spec)}: parameter {field.name} must be finite")
-    return family.build(spec, policy or CutoffPolicy())
+    return family.build(spec)
 
 
 def nominal_nbar(spec: ProbeSpec) -> float | None:

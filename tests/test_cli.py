@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import lossqfi
-from lossqfi.cli import _write_table, main
+from lossqfi.cli import _write_table, build_parser, main
 
 
 def run(tmp_path, *argv):
@@ -262,7 +262,7 @@ class TestBadInput:
          "parameter theta_rel must be finite"),
     ])
     def test_non_finite_probe_parameter_is_named(self, tmp_path, capsys, argv, message):
-        # rejected before any construction: no cutoff-cap advice and no
+        # rejected before any construction: no cutoff advice and no
         # numpy warning from arithmetic on the non-finite value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -318,6 +318,22 @@ class TestDeterminism:
             outputs.append(done.stdout)
         assert outputs[0] == outputs[1]
         assert outputs[0].count("\n") > 4
+
+
+class TestOptions:
+    def test_seed_only_where_it_is_read_and_no_cutoff_options(self):
+        commands = build_parser()._subparsers._group_actions[0].choices
+        seeded = {name for name, p in commands.items() if "--seed" in p._option_string_actions}
+        assert seeded == {"sweep-phi", "sweep-energy", "optimize", "simulate"}
+        for p in commands.values():
+            assert not {"--cutoff-cap", "--tail-tol"} & set(p._option_string_actions)
+
+    def test_a_state_past_the_level_guard_is_an_engine_error(self, tmp_path, capsys):
+        code, text = run(tmp_path, "qfi", "gaussian:eta=0,r=3", "--phi", "0.5")
+        assert (code, text) == (1, "")
+        err = capsys.readouterr().err
+        assert "lower its energy or its squeezing" in err
+        assert "--" not in err
 
 
 class TestImports:

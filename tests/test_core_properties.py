@@ -257,12 +257,15 @@ def test_zero_padding_leaves_the_qfi_unchanged(stack, pad):
 @given(ragged_probes())
 def test_a_stack_with_one_angle_per_probe_equals_the_single_calls(stack):
     # the probes are sorted by length, padded and chunked inside; each value
-    # comes back in its own place, as its own call would give it
+    # comes back in its own place, as its own call would give it, and obeys
+    # the energy bound H <= 4 nbar
     probes, phis = stack
     together = _qfi_stack(probes, phis)
-    alone = np.array([_qfi_stack([psi], phi)[0] for psi, phi in zip(probes, phis)])
+    alone = np.array([qfi_of_state(psi, phi) for psi, phi in zip(probes, phis)])
     assert together.shape == (len(probes),)
     assert np.all(np.abs(together - alone) <= 1e-12 * np.maximum(alone, 1e-3))
+    nbar = np.array([np.arange(psi.size) @ np.abs(psi) ** 2 for psi in probes])
+    assert np.all((together >= 0.0) & (together <= 4.0 * nbar * (1.0 + 1e-12) + 1e-15))
 
 
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from lossqfi import (CutoffOverflowError, CutoffPolicy, DomainError,
-                     FockVector, Gaussian, build_probe, coherent_state,
-                     displaced_squeezed_vacuum, fidelity, fock_state,
-                     hermitian_eig, ladder_operators, mean_photon)
+from lossqfi import (CutoffOverflowError, DomainError, FockVector, Gaussian,
+                     build_probe, coherent_state, displaced_squeezed_vacuum,
+                     fidelity, fock, fock_state, hermitian_eig, ladder_operators,
+                     mean_photon)
 from lossqfi.errors import DegenerateStateError
 
 
@@ -132,12 +132,11 @@ class TestDisplacedSqueezedVacuum:
         assert mean_photon(state) == pytest.approx(1.2 ** 2 + math.sinh(0.7) ** 2, abs=1e-6)
 
     def test_tail_below_tolerance(self):
-        policy = CutoffPolicy()
-        state = displaced_squeezed_vacuum(1.0, 0.5, policy=policy)
+        state = displaced_squeezed_vacuum(1.0, 0.5)
         # rebuild on a larger space: the mass beyond the chosen cutoff is the tail
         big = displaced_squeezed_vacuum(1.0, 0.5, dim=state.dim + 40)
         tail = float(np.sum(np.abs(big.amplitudes[state.dim:]) ** 2))
-        assert tail < policy.tail_tol
+        assert tail < fock.TAIL_TOL
 
     @pytest.mark.parametrize("eta, r, theta", [
         (0.7 - 0.4j, -0.8, 1.9),
@@ -161,22 +160,30 @@ class TestDisplacedSqueezedVacuum:
 
     @pytest.mark.parametrize("eta, r, expected", [(2.0, 1.4, 177), (1.0, 1.0, 78)])
     def test_cutoff_is_smallest_with_tail_below_tolerance(self, eta, r, expected):
-        tol = CutoffPolicy().tail_tol
+        tol = fock.TAIL_TOL
         state = displaced_squeezed_vacuum(eta, r)
         assert state.dim == expected
         pop = np.abs(displaced_squeezed_vacuum(eta, r, dim=state.dim + 60).amplitudes) ** 2
         assert pop[state.dim:].sum() < tol <= pop[state.dim - 1:].sum()
 
     def test_cutoff_overflow(self):
-        with pytest.raises(CutoffOverflowError):
-            displaced_squeezed_vacuum(0.0, 2.0, policy=CutoffPolicy(cap=10))
+        # squeezed vacuum at r = 3 holds sinh(3)^2 = 100.4 photons and needs
+        # more than MAX_LEVELS levels; the error gives a lower bound on the
+        # energy and what to change, and names no option, since none lifts
+        # the guard
+        for build in (lambda: displaced_squeezed_vacuum(0.0, 3.0), lambda: coherent_state(40.0)):
+            with pytest.raises(CutoffOverflowError,
+                               match=r"at least \d.*more than 1024 levels.*lower its energy or "
+                                     r"its squeezing") as err:
+                build()
+            assert "--" not in str(err.value)
 
-    def test_overflow_names_the_cap_and_its_option(self):
-        # Gaussian(1, 1.5) needs 211 levels: it fits under cap 211, not 200
-        assert build_probe(Gaussian(1.0, 1.5), CutoffPolicy(cap=211)).dim == 211
-        with pytest.raises(CutoffOverflowError,
-                           match=r"more than 200 levels.*--cutoff-cap"):
-            build_probe(Gaussian(1.0, 1.5))
+    def test_the_level_guard_needs_no_option(self):
+        # Gaussian(1, 1.5) needs 211 levels and squeezed vacuum at r = 2 needs
+        # 571: both are measured under the guard
+        assert fock.MAX_LEVELS == 1024
+        assert build_probe(Gaussian(1.0, 1.5)).dim == 211
+        assert displaced_squeezed_vacuum(0.0, 2.0).dim == 571
 
 
 class TestFidelity:

@@ -171,8 +171,8 @@ class TestOptimizeGaussian:
         # the grid, the polish and the scan all evaluate through _gauss_values
         tilted = optimize._gauss_values
         monkeypatch.setattr(optimize, "_gauss_values",
-                            lambda nbar, xs, thetas, loss, policy:
-                            tilted(nbar, xs, np.asarray(thetas) + 0.4, loss, policy))
+                            lambda nbar, xs, thetas, loss:
+                            tilted(nbar, xs, np.asarray(thetas) + 0.4, loss))
         with pytest.raises(ArithmeticError, match="beats theta_rel = 0"):
             optimize_gaussian(0.5, 0.6)
 

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from lossqfi import (Cat, Coherent, DomainError, Fock, Gaussian,
+from lossqfi import (Cat, Coherent, DomainError, Fock, FockVector, Gaussian,
                      PhotonSubtracted, Qubit, Qutrit, Superposition,
                      TruncatedSubtracted, build_probe, coherent_state,
                      mean_photon, nominal_nbar, parse_probe, probe_label, qfi,
-                     qutrit_coords, truncated_subtracted_coeffs)
+                     qfi_of_state, qutrit_coords, truncated_subtracted_coeffs)
 from lossqfi.errors import DegenerateStateError
 from lossqfi.probes import _FAMILIES
 
@@ -139,6 +139,20 @@ class TestTruncatedSubtractedCoeffs:
             printed = truncated_subtracted_coeffs(eta, r)
             overlap = abs(np.vdot(numeric, printed))
             assert overlap > 1.0 - 1e-9
+
+    @pytest.mark.parametrize("eta", [0.002, 0.003])
+    def test_built_state_keeps_its_levels_near_the_origin(self, eta):
+        # a D(eta)|0> = eta |eta>: above level 0 the state holds only about
+        # eta^2 of its weight, and every kept level must stay, as in the
+        # closed form
+        for levels in (3, 5):
+            assert build_probe(TruncatedSubtracted(eta, 0.0, levels)).dim == levels
+        closed = truncated_subtracted_coeffs(eta, 0.0)
+        beta = qutrit_coords(build_probe(TruncatedSubtracted(eta, 0.0)))[1]
+        assert beta == pytest.approx(qutrit_coords(closed)[1], rel=1e-12)
+        assert beta < math.pi / 2 - 1e-3
+        assert qfi(TruncatedSubtracted(eta, 0.0), 0.8).qfi == pytest.approx(
+            qfi_of_state(FockVector(closed), 0.8), rel=1e-12)
 
 
 class TestQutritCoords:

@@ -29,7 +29,7 @@ CORPUS = [
     ("qfi-superposition", "qfi superposition:c=0.5/0.5/0.5/0.5 --phi 0.7"),
     ("qfi-coherent", "qfi coherent:alpha=1 --phi 0.4"),
     ("qfi-coherent-complex", "qfi coherent:alpha=0.6+0.8j --phi 1.1"),
-    ("qfi-coherent-cap300", "qfi coherent:alpha=3 --phi 0.5 --cutoff-cap 300"),
+    ("qfi-coherent-cap300", "qfi coherent:alpha=3 --phi 0.5"),
     ("qfi-cat-even", "qfi cat:alpha=1.2,sign=+ --phi 0.5"),
     ("qfi-cat-odd", "qfi cat:alpha=1,sign=- --phi 0.4"),
     ("qfi-cat-large", "qfi cat:alpha=2.5,sign=- --phi 1.2"),
@@ -50,7 +50,7 @@ CORPUS = [
                           "--nbar 0.2:1:5 --phi 0.5 --format json"),
     ("sweep-energy-fock", "sweep-energy --families fock --nbar 1:4:4 --phi 0.9"),
     ("optimize-gaussian", "optimize --family gaussian --nbar 0.5 --phi pi/4"),
-    ("optimize-gaussian-large", "optimize --family gaussian --nbar 5 --phi 0.6 --cutoff-cap 420"),
+    ("optimize-gaussian-large", "optimize --family gaussian --nbar 5 --phi 0.6"),
     ("optimize-qutrit", "optimize --family qutrit --nbar 0.5 --phi 0.6"),
     ("optimize-superposition", "optimize --family superposition --kmax 3 --nbar 0.5 --phi pi/4"),
     ("optimize-superposition-k4", "optimize --family superposition --kmax 4 --nbar 0.1 --phi 1.2"),
