@@ -7,8 +7,8 @@ Monte Carlo that photon counting saturates the Cramer-Rao bound for Fock
 probes.
 """
 
-from .channel import (LossParameter, drho_dphi, evolve, evolve_pure,
-                      kraus_operators, loss_reparametrize)
+from .channel import (LossParameter, drho_dphi, evolve, kraus_operators,
+                      loss_reparametrize)
 from .degauss import (CoverageReport, RegionMap, coverage_check,
                       default_region_grids, photon_subtract, region_map,
                       truncate_levels)
@@ -31,8 +31,7 @@ from .probes import (Cat, Coherent, Fock, Gaussian, PhotonSubtracted,
 __version__ = "0.1.0"
 
 __all__ = [
-    "LossParameter", "drho_dphi", "evolve", "evolve_pure", "kraus_operators",
-    "loss_reparametrize",
+    "LossParameter", "drho_dphi", "evolve", "kraus_operators", "loss_reparametrize",
     "CoverageReport", "RegionMap", "coverage_check", "default_region_grids",
     "photon_subtract", "region_map", "truncate_levels",
     "CutoffOverflowError", "DegenerateStateError", "DomainError",

@@ -17,11 +17,15 @@ from .errors import DomainError
 from .fock import DensityOperator, FockVector, _log_factorials, amplitudes_of, matrix_of
 
 __all__ = [
-    "LossParameter", "loss_reparametrize", "kraus_operators",
-    "evolve", "evolve_pure", "drho_dphi",
+    "LossParameter", "loss_reparametrize", "kraus_operators", "evolve", "drho_dphi",
 ]
 
-DEFAULT_PHI_MIN = 1e-3
+# the loss domain is [PHI_MIN, pi/2 - PHI_MIN]. The margin keeps tan(phi) and
+# the Kraus factors finite, and it keeps the QFI's roundoff inside the energy
+# bound's slack: estimation.QFI_ROUNDOFF / sin(phi)^2 is 1.0e-8 at PHI_MIN,
+# 100 times below estimation.BOUND_SLACK, so no admissible phi can fail the
+# bound by roundoff
+PHI_MIN = 1e-3
 
 # weights below this 1-norm no longer contribute to a Kraus sum
 _KRAUS_TERM_FLOOR = 1e-16
@@ -29,21 +33,14 @@ _KRAUS_TERM_FLOOR = 1e-16
 
 @dataclass(frozen=True)
 class LossParameter:
-    """Loss angle phi with its equivalent views.
-
-    The domain is the closed interval [phi_min, pi/2 - phi_min]; the margin
-    keeps tan(phi) and the Kraus factors finite at both ends.
-    """
+    """Loss angle phi with its equivalent views, on the closed interval
+    [PHI_MIN, pi/2 - PHI_MIN]."""
 
     phi: float
-    phi_min: float = DEFAULT_PHI_MIN
 
     def __post_init__(self):
-        if not (0.0 < self.phi_min < np.pi / 4):
-            raise DomainError("phi_min must lie in (0, pi/4)")
-        if not (self.phi_min <= self.phi <= np.pi / 2 - self.phi_min):
-            raise DomainError(
-                f"phi={self.phi} outside [{self.phi_min}, pi/2 - {self.phi_min}]")
+        if not (PHI_MIN <= self.phi <= np.pi / 2 - PHI_MIN):
+            raise DomainError(f"phi={self.phi} outside [{PHI_MIN}, pi/2 - {PHI_MIN}]")
 
     @property
     def z(self) -> float:
@@ -58,16 +55,16 @@ class LossParameter:
         return math.cos(self.phi) ** 2
 
     @classmethod
-    def from_gamma_t(cls, gamma_t: float, phi_min: float = DEFAULT_PHI_MIN):
-        return cls(loss_reparametrize(gamma_t, "gamma_t", "phi"), phi_min)
+    def from_gamma_t(cls, gamma_t: float):
+        return cls(loss_reparametrize(gamma_t, "gamma_t", "phi"))
 
     @classmethod
-    def from_z(cls, z: float, phi_min: float = DEFAULT_PHI_MIN):
-        return cls(loss_reparametrize(z, "z", "phi"), phi_min)
+    def from_z(cls, z: float):
+        return cls(loss_reparametrize(z, "z", "phi"))
 
     @classmethod
-    def from_transmissivity(cls, transmissivity: float, phi_min: float = DEFAULT_PHI_MIN):
-        return cls(loss_reparametrize(transmissivity, "transmissivity", "phi"), phi_min)
+    def from_transmissivity(cls, transmissivity: float):
+        return cls(loss_reparametrize(transmissivity, "transmissivity", "phi"))
 
 
 def loss_reparametrize(value: float, source: str, target: str) -> float:
@@ -164,43 +161,34 @@ def _kraus_images(amps: np.ndarray, phi) -> np.ndarray:
     return weight * amps[..., level]
 
 
-def evolve_pure(psi, phi) -> DensityOperator:
-    """Propagate a pure state; returns sum_n (K_n psi)(K_n psi)+."""
-    cols = _kraus_images(amplitudes_of(psi), _as_loss(phi).phi)
-    return DensityOperator(cols @ cols.conj().T)
+def _dagger(m: np.ndarray) -> np.ndarray:
+    t = np.swapaxes(m, -1, -2)
+    return t.conj() if np.iscomplexobj(t) else t
 
 
-def evolve(rho, phi) -> DensityOperator:
+def _density(cols):
+    """rho = C C+ over the Kraus images C of each probe, made exactly Hermitian."""
+    rho = cols @ _dagger(cols)
+    return 0.5 * (rho + _dagger(rho))
+
+
+def evolve(state, phi) -> DensityOperator:
     """Propagate a state (pure vector or density operator) through the channel.
 
-    For density operators the Kraus sum collapses to shifted diagonals:
-    out[j,k] = sum_n w_n(j,k) rho[j+n, k+n], evaluated in log space so that
-    the factorial factors never overflow.
+    A pure probe gives the QFI core's rho, C C+ over its Kraus images C
+    (:func:`_kraus_images`). For a density operator the Kraus sum collapses
+    to shifted diagonals, out[j,k] = sum_n w[j,n] w[k,n] rho[j+n,k+n], with
+    w[m,n] = <m|K_n|m+n> the Kraus images of a flat vector.
     """
-    if isinstance(rho, FockVector):
-        return evolve_pure(rho, phi)
-    arr = np.asarray(rho.matrix if isinstance(rho, DensityOperator) else rho, dtype=complex)
-    if arr.ndim == 1:
-        return evolve_pure(arr, phi)
-    d = arr.shape[0]
     p = _as_loss(phi).phi
-    s2 = math.sin(p) ** 2
-    logc = math.log(math.cos(p))
-    log_s2 = math.log(s2) if s2 > 0 else -math.inf
-    levels = np.arange(d)
-    lg = _log_factorials(d)
-    # population at or above level n bounds the remaining Kraus terms
-    remaining = np.cumsum(np.diag(arr).real[::-1])[::-1]
+    if isinstance(state, FockVector) or np.ndim(state) == 1:
+        return DensityOperator(_density(_kraus_images(amplitudes_of(state), p)))
+    rho = matrix_of(state)
+    d = rho.shape[0]
+    w = _kraus_images(np.ones(d), p)
     out = np.zeros((d, d), dtype=complex)
     for n in range(d):
-        if n and remaining[n] < _KRAUS_TERM_FLOOR:
-            break
-        # log sqrt((j+n)!/j!) per retained level j < d - n
-        lf = 0.5 * (lg[n:] - lg[: d - n])
-        logw = n * log_s2 - lg[n] + lf[:, None] + lf[None, :]
-        out[: d - n, : d - n] += np.exp(logw) * arr[n:, n:]
-    cj = np.exp(logc * levels)
-    out *= np.outer(cj, cj)
+        out[: d - n, : d - n] += np.outer(w[: d - n, n], w[: d - n, n]) * rho[n:, n:]
     return DensityOperator(out)
 
 

@@ -15,7 +15,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .channel import LossParameter
+from .channel import PHI_MIN, LossParameter
 from .degauss import coverage_check, default_region_grids, region_map
 from .errors import CutoffOverflowError, DegenerateStateError, DomainError
 from .estimation import _qfi_stack, qfi, sld
@@ -95,14 +95,6 @@ def _parse_range(text: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _loss(value: float, args) -> LossParameter:
-    return LossParameter(value, phi_min=args.phi_min)
-
-
-def _default_phi_grid(args, count: int = 25) -> np.ndarray:
-    return np.linspace(args.phi_min, math.pi / 2 - args.phi_min, count)
-
-
 def _split_families(text: str) -> list[str]:
     items = [t.strip() for t in text.split(",") if t.strip()]
     # parameterized specs contain '=' after a ':'; re-join fragments that
@@ -157,7 +149,7 @@ def _sweep_phi_rows(family: str, phis, args):
     if opt is None:
         state = build_probe(parse_probe(family))
         nbar = mean_photon(state)
-        hs = _qfi_stack([state] * len(phis), [_loss(p, args) for p in phis])
+        hs = _qfi_stack([state] * len(phis), phis)
         return [[family, p, nbar, h, 4.0 * nbar] for p, h in zip(phis, hs)]
     kv = _parse_kv(head, body, ("nbar",) + opt.keys)
     if "nbar" not in kv:
@@ -165,14 +157,15 @@ def _sweep_phi_rows(family: str, phis, args):
     nbar = _fnum(kv["nbar"])
     rows = []
     for p in phis:
-        res = opt.run(nbar, _loss(p, args), _order(kv), args.seed)
+        res = opt.run(nbar, LossParameter(p), _order(kv), args.seed)
         rows.append([family, p, res.nbar, res.best_qfi, 4.0 * res.nbar])
     return rows
 
 
 def cmd_sweep_phi(args) -> int:
     families = _split_families(args.families)
-    phis = _parse_range(args.phi) if args.phi else _default_phi_grid(args)
+    phis = (_parse_range(args.phi) if args.phi else
+            np.linspace(PHI_MIN, math.pi / 2 - PHI_MIN, 25))
     rows = []
     for family in families:
         rows.extend(_sweep_phi_rows(family, phis, args))
@@ -196,7 +189,7 @@ def _sweep_energy_value(tag: str, nbar: float, loss, args):
 def cmd_sweep_energy(args) -> int:
     families = _split_families(args.families)
     nbars = _parse_range(args.nbar)
-    loss = _loss(_fnum(args.phi), args)
+    loss = LossParameter(_fnum(args.phi))
     rows = []
     for family in families:
         for nbar in nbars:
@@ -209,7 +202,7 @@ def cmd_sweep_energy(args) -> int:
 
 def cmd_qfi(args) -> int:
     spec = parse_probe(args.probe)
-    rep = qfi(spec, _loss(_fnum(args.phi), args), runs=args.runs)
+    rep = qfi(spec, LossParameter(_fnum(args.phi)), runs=args.runs)
     headers = ["probe", "phi", "nbar", "qfi", "ultimate_bound",
                "crlb_variance", "ultimate_variance", "runs", "method"]
     ult_var = 1.0 / (4.0 * rep.nbar * rep.runs) if rep.nbar > 0 else math.inf
@@ -221,7 +214,7 @@ def cmd_qfi(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    loss = _loss(_fnum(args.phi), args)
+    loss = LossParameter(_fnum(args.phi))
     opt = _OPTIMIZER_FAMILIES[args.family]
     res = opt.run(args.nbar, loss, args.kmax, args.seed)
     extras = opt.columns(res.best_params)
@@ -242,7 +235,7 @@ def cmd_region(args) -> int:
         rs = defaults[1] if rs is None else rs
     phis = ([_fnum(t) for t in args.phi.split(",")] if args.phi else
             [math.pi / 16, math.pi / 8, math.pi / 4, 3 * math.pi / 8,
-             math.pi / 2 - args.phi_min])
+             math.pi / 2 - PHI_MIN])
     nbars = _parse_range(args.nbar) if args.nbar else np.linspace(0.05, 0.95, 19)
     region = region_map(etas, rs)
     ext = args.format
@@ -250,9 +243,9 @@ def cmd_region(args) -> int:
     _write_table(["eta", "r", "nbar", "beta"],
                  [[p["eta"], p["r"], p["nbar"], p["beta"]] for p in region.points],
                  f"{prefix}_region.{ext}", args.format)
-    report = coverage_check([_loss(p, args) for p in phis], nbars, region)
+    report = coverage_check([LossParameter(p) for p in phis], nbars, region)
     for p in phis:
-        loss = _loss(p, args)
+        loss = LossParameter(p)
         rows = [[c.phi, c.nbar, c.beta_opt, c.qfi_opt]
                 for c in report.points if c.phi == loss.phi]
         _write_table(["phi", "nbar", "beta_opt", "H_opt"], rows,
@@ -270,7 +263,7 @@ def cmd_region(args) -> int:
 
 def cmd_sld_dump(args) -> int:
     spec = parse_probe(args.probe)
-    loss = _loss(_fnum(args.phi), args)
+    loss = LossParameter(_fnum(args.phi))
     operator = sld(build_probe(spec), loss)
     dim = operator.matrix.shape[0]
     headers = ["eigenvalue"] + [f"re_{m}" for m in range(dim)] + \
@@ -285,7 +278,7 @@ def cmd_sld_dump(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    rep = simulate_fock_estimation(args.n, _loss(_fnum(args.phi), args),
+    rep = simulate_fock_estimation(args.n, LossParameter(_fnum(args.phi)),
                                    args.runs, args.reps, seed=args.seed)
     headers = ["n", "phi_true", "runs", "repetitions", "seed", "phi_hat_mean",
                "empirical_variance", "crlb", "normalized_variance",
@@ -302,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lossqfi",
         description="QFI toolkit for loss estimation in bosonic channels")
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--phi-min", type=float, default=1e-3)
     shared.add_argument("--out", default=None)
     shared.add_argument("--format", choices=("csv", "json"), default="csv")
     seeded = argparse.ArgumentParser(add_help=False)

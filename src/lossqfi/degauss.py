@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channel import _as_loss
 from .errors import DegenerateStateError, DomainError
 from .fock import FockVector, amplitudes_of
 
@@ -170,7 +171,7 @@ def coverage_check(phi_list, nbar_grid, region: RegionMap) -> CoverageReport:
     pts_b = region.points["beta"]
     out = []
     for phi in phi_list:
-        phi_val = float(phi.phi) if hasattr(phi, "phi") else float(phi)
+        phi_val = _as_loss(phi).phi
         for nbar in nbar_grid:
             result = optimize_qutrit(float(nbar), phi_val)
             beta = result.best_params["beta"]

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LossParameter, _as_loss, _kraus_images, _loss_generator
+from .channel import (LossParameter, _as_loss, _dagger, _density, _kraus_images,
+                      _loss_generator)
 from .errors import DomainError
 from .fock import TRACE_TOL, Spectrum, amplitudes_of, hermitian_eig, mean_photon
 from .probes import ProbeSpec, build_probe
@@ -67,17 +68,6 @@ class EstimationReport:
         if self.qfi < 0 or self.qfi > self.ultimate_bound * (1.0 + BOUND_SLACK):
             raise DomainError(
                 f"QFI {self.qfi} violates the energy bound {self.ultimate_bound}")
-
-
-def _dagger(m: np.ndarray) -> np.ndarray:
-    t = np.swapaxes(m, -1, -2)
-    return t.conj() if np.iscomplexobj(t) else t
-
-
-def _density(cols):
-    """rho = C C+ over the Kraus images C of each probe, made exactly Hermitian."""
-    rho = cols @ _dagger(cols)
-    return 0.5 * (rho + _dagger(rho))
 
 
 def _sld_fock(vecs, sld_eig):
@@ -154,12 +144,7 @@ def _checked_frame(amps, phi):
     over = ~(h_pairs <= bound * (1.0 + BOUND_SLACK))
     if over.any():
         i = int(np.argmax(over))
-        message = f"QFI {h_pairs[i]} violates the energy bound {bound[i]}"
-        angle = float(np.broadcast_to(phi, over.shape)[i])
-        if QFI_ROUNDOFF / math.sin(angle) ** 2 > BOUND_SLACK:
-            message += (f" at phi = {angle:.6g}: the QFI's roundoff at this loss exceeds "
-                        f"the bound's slack {BOUND_SLACK:g}, so phi must be raised")
-        raise DomainError(message)
+        raise DomainError(f"QFI {h_pairs[i]} violates the energy bound {bound[i]}")
     return h_pairs, cols, vecs, sld_eig
 
 

@@ -18,7 +18,7 @@ import numpy as np
 # keeps that import out of the first seeded search or simulation
 import numpy.random  # noqa: F401
 
-from .channel import _as_loss
+from .channel import PHI_MIN, _as_loss
 from .errors import DomainError
 
 __all__ = ["ExperimentReport", "simulate_fock_estimation"]
@@ -66,13 +66,13 @@ def simulate_fock_estimation(n: int, phi, runs: int, repetitions: int,
         raise DomainError(f"need at least {MIN_REPETITIONS} repetitions")
     loss = _as_loss(phi)
     margin = 10.0 / math.sqrt(4.0 * n * runs)
-    if not (loss.phi_min + margin <= loss.phi <= math.pi / 2 - loss.phi_min - margin):
+    lo, hi = PHI_MIN, math.pi / 2 - PHI_MIN
+    if not (lo + margin <= loss.phi <= hi - margin):
         raise DomainError(
             f"phi={loss.phi} too close to the domain edge for unbiased clipping "
             f"(margin {margin:.4g})")
     p_survive = math.cos(loss.phi) ** 2
     total_trials = n * runs
-    lo, hi = loss.phi_min, math.pi / 2 - loss.phi_min
     estimates = np.empty(repetitions)
     clips = 0
     for rep in range(repetitions):

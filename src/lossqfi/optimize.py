@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LossParameter, _as_loss
-from .errors import DomainError
+from .errors import CutoffOverflowError, DomainError
 from .estimation import QFI_ROUNDOFF, _qfi_grad_stack, _qfi_stack, qfi_of_state
 from .fock import _cut, _gaussian_amplitudes, mean_photon
 from .montecarlo import _rep_rng
@@ -111,7 +111,8 @@ def optimize_qutrit(nbar: float, phi) -> OptimizationResult:
 
     Scans a dense beta grid over [0, pi/2] in one stacked QFI evaluation and
     polishes the best cell with golden-section search; deterministic, no
-    randomness involved.
+    randomness involved. The phases pi make the amplitudes real, and they
+    are taken real, so the core runs in real arithmetic.
     """
     if not (0.0 < nbar <= 1.0):
         raise DomainError("qutrit optimization is asserted for nbar in (0, 1]")
@@ -119,11 +120,11 @@ def optimize_qutrit(nbar: float, phi) -> OptimizationResult:
 
     def value(beta):
         # the Qutrit probe's construction, normalized as FockVector does
-        amps = _qutrit_amplitudes(nbar, beta)
+        amps = _qutrit_amplitudes(nbar, beta).real
         return _qfi_stack((amps / np.linalg.norm(amps))[None], loss)[0]
 
     grid = np.linspace(0.0, np.pi / 2, QUTRIT_GRID_POINTS)
-    amps = _qutrit_amplitudes(nbar, grid)
+    amps = _qutrit_amplitudes(nbar, grid).real
     vals = _qfi_stack(amps / np.linalg.norm(amps, axis=-1, keepdims=True), loss)
     beta, best = _grid_then_polish(value, grid, vals, QUTRIT_BETA_TOL)
     return OptimizationResult(
@@ -431,14 +432,24 @@ def _gauss_values(nbar: float, xs, thetas, loss: LossParameter) -> np.ndarray:
     """H of the displaced squeezed vacua with squeeze fractions ``xs`` and
     relative phases ``thetas`` (broadcast together) at energy nbar, from one
     recurrence over all of them and one stacked core call; each state is cut
-    exactly as :func:`displaced_squeezed_vacuum` cuts it."""
+    exactly as :func:`displaced_squeezed_vacuum` cuts it, and a state that
+    needs more than MAX_LEVELS levels gets H = -inf."""
     xs = np.clip(xs, 0.0, 1.0)
     r = np.arcsinh(np.sqrt(xs * nbar))
     eta = np.sqrt(np.maximum((1.0 - xs) * nbar, 0.0))
     # one scalar x keeps the recurrence in scalar arithmetic, much faster than
     # an array of one
     amps = _gaussian_amplitudes(eta, r, thetas)
-    return _qfi_stack([_cut(row) for row in amps.reshape(-1, amps.shape[-1])], loss)
+    states = []
+    for row in amps.reshape(-1, amps.shape[-1]):
+        try:
+            states.append(_cut(row))
+        except CutoffOverflowError:
+            states.append(None)
+    fits = [i for i, state in enumerate(states) if state is not None]
+    h = np.full(len(states), -np.inf)
+    h[fits] = _qfi_stack([states[i] for i in fits], loss)
+    return h
 
 
 def optimize_gaussian(nbar: float, phi) -> OptimizationResult:
@@ -451,7 +462,8 @@ def optimize_gaussian(nbar: float, phi) -> OptimizationResult:
     optimum raises ArithmeticError if some phase beats it by more than
     GAUSS_THETA_TOL max(1, H), or than the roundoff of H at small loss. The
     grid, each polish point and the scan are one :func:`_gauss_values` call
-    each.
+    each. States past the level guard drop out of the search, so it raises
+    CutoffOverflowError only when no grid state fits in MAX_LEVELS levels.
     """
     if not nbar > 0:
         raise DomainError("energy must be positive")
@@ -461,8 +473,11 @@ def optimize_gaussian(nbar: float, phi) -> OptimizationResult:
         return _gauss_values(nbar, x, 0.0, loss)[0]
 
     grid = np.linspace(0.0, 1.0, GAUSS_GRID_POINTS)
-    x, h = _grid_then_polish(value, grid, _gauss_values(nbar, grid, 0.0, loss),
-                             GAUSS_X_TOL)
+    values = _gauss_values(nbar, grid, 0.0, loss)
+    if np.isneginf(values).all():
+        raise CutoffOverflowError(f"no displaced squeezed vacuum at nbar = {nbar:.6g} fits "
+                                  f"under the level guard fock.MAX_LEVELS; lower the energy")
+    x, h = _grid_then_polish(value, grid, values, GAUSS_X_TOL)
     thetas = np.linspace(0.0, 2.0 * math.pi, GAUSS_THETA_SCAN, endpoint=False)
     scan = _gauss_values(nbar, x, thetas, loss)
     i = int(np.argmax(scan))

@@ -1,11 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from lossqfi import (DensityOperator, DomainError, LossParameter, coherent_state,
-                     drho_dphi, evolve, evolve_pure, fidelity, fock_state,
+                     drho_dphi, evolve, fidelity, fock_state,
                      kraus_operators, loss_reparametrize)
+from lossqfi.channel import PHI_MIN
+from lossqfi.estimation import BOUND_SLACK, QFI_ROUNDOFF
 
 
 def random_density(rng, dim):
@@ -28,6 +31,15 @@ class TestLossParameter:
             LossParameter(math.pi / 2)
         LossParameter(1e-3)  # boundary is included
         LossParameter(math.pi / 2 - 1e-3)
+        # the angle is the only field and the edge is the constant PHI_MIN,
+        # where the QFI's roundoff QFI_ROUNDOFF / sin(phi)^2 (1.0e-8) stays
+        # about 100 times inside the energy bound's slack
+        assert [f.name for f in dataclasses.fields(LossParameter)] == ["phi"]
+        assert PHI_MIN == 1e-3
+        assert QFI_ROUNDOFF / math.sin(PHI_MIN) ** 2 <= BOUND_SLACK / 99
+        for phi in (0.5 * PHI_MIN, math.pi / 2 - 0.5 * PHI_MIN):
+            with pytest.raises(DomainError, match=r"outside \[0\.001, pi/2 - 0\.001\]"):
+                LossParameter(phi)
 
     def test_constructors_roundtrip(self):
         loss = LossParameter(0.83)
@@ -112,7 +124,7 @@ class TestEvolve:
     def test_pure_and_mixed_routes_agree(self):
         psi = coherent_state(0.9, dim=25)
         loss = LossParameter(0.6)
-        assert np.allclose(evolve_pure(psi, loss).matrix,
+        assert np.allclose(evolve(psi, loss).matrix,
                            evolve(psi.density(), loss).matrix, atol=1e-13)
 
     def test_trace_preservation_and_positivity_random(self):

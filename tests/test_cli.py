@@ -272,15 +272,16 @@ class TestBadInput:
         assert message in err
         assert "cutoff" not in err
 
-    def test_energy_bound_at_tiny_loss_names_its_cause(self, tmp_path, capsys):
-        code, text = run(tmp_path, "optimize", "--family", "superposition",
-                         "--kmax", "3", "--nbar", "0.3", "--phi", "1e-5",
-                         "--phi-min", "1e-6")
+    def test_the_loss_domain_is_no_option(self, tmp_path, capsys):
+        # the domain edge is the constant channel.PHI_MIN: --phi-min is a
+        # usage error, and an angle below the edge is refused by name
+        with pytest.raises(SystemExit) as exc:
+            main(["qfi", "fock:n=2", "--phi", "0.6", "--phi-min", "1e-6"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, text = run(tmp_path, "qfi", "fock:n=2", "--phi", "5e-4")
         assert (code, text) == (1, "")
-        err = capsys.readouterr().err
-        assert "violates the energy bound" in err
-        assert ("at phi = 1e-05: the QFI's roundoff at this loss exceeds the bound's "
-                "slack 1e-06, so phi must be raised") in err
+        assert capsys.readouterr().err == "error: phi=0.0005 outside [0.001, pi/2 - 0.001]\n"
 
 
     def test_a_failed_engine_check_exits_with_a_message(self, tmp_path, capsys, monkeypatch):

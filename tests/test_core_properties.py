@@ -38,7 +38,7 @@ from lossqfi import (Cat, Coherent, Fock, Gaussian, LossParameter,  # noqa: E402
                      TruncatedSubtracted, build_probe, classical_fisher,
                      optimal_measurement, parse_probe, qfi_of_state, sld)
 from lossqfi import estimation, optimize, probes  # noqa: E402
-from lossqfi.channel import _kraus_images, evolve, evolve_pure, kraus_operators  # noqa: E402
+from lossqfi.channel import _kraus_images, evolve, kraus_operators  # noqa: E402
 from lossqfi.estimation import (RANK_EPS, STACK_BUDGET, _qfi_grad_stack,  # noqa: E402
                                 _qfi_stack)
 from lossqfi.fock import FockVector, _coherent_amplitudes  # noqa: E402
@@ -201,19 +201,26 @@ def _relative(x, reference):
 @given(st.integers(1, 200), st.integers(0, 2 ** 32 - 1),
        st.floats(0.01, math.pi / 2 - 0.01), st.complex_numbers(max_magnitude=4.0))
 def test_log_factorial_sites_match_their_references(dim, seed, phi, alpha):
-    # the mixed-state channel, the Kraus operators and the coherent
-    # amplitudes each read log(m!) from one table; each is checked against
-    # a route that needs no factorial
+    # the channel on pure and on mixed states, the Kraus operators and the
+    # coherent amplitudes each read log(m!) from one table; each is checked
+    # against a route that needs no factorial
     rng = np.random.default_rng(seed)
     psi = FockVector(rng.normal(size=dim) + 1j * rng.normal(size=dim))
     loss = LossParameter(phi)
-    pure = evolve_pure(psi, loss).matrix
-    images = [k @ psi.amplitudes for k in kraus_operators(loss, dim)]
+    ops = kraus_operators(loss, dim)
+    pure = evolve(psi, loss).matrix
+    images = [k @ psi.amplitudes for k in ops]
     kraus_sum = sum(np.outer(v, v.conj()) for v in images)
     mixed = evolve(psi.density(), loss).matrix
     assert _relative(mixed, pure) <= 1e-12
     assert _relative(pure, kraus_sum) <= 1e-12
     assert _relative(mixed, kraus_sum) <= 1e-12
+    # a random mixed input of full rank
+    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = raw @ raw.conj().T
+    rho /= np.trace(rho).real
+    kraus_sum = sum(k @ rho @ k.conj().T for k in ops)
+    assert _relative(evolve(rho, loss).matrix, kraus_sum) <= 1e-12
 
     # c_0 = exp(-|alpha|^2/2), c_{m+1} = alpha c_m / sqrt(m+1); subnormal
     # levels carry no relative precision and are left out

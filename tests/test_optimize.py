@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from lossqfi import (DomainError, Gaussian, LossParameter, best_cat,
+from lossqfi import (CutoffOverflowError, DomainError, Gaussian, LossParameter, best_cat,
                      closed_form_qfi, mean_photon,
                      optimize_gaussian, optimize_qutrit,
                      optimize_superposition, build_probe, qfi_of_state)
-from lossqfi import optimize
+from lossqfi import fock, optimize
 from lossqfi.probes import _qutrit_amplitudes
 
 
@@ -175,6 +175,16 @@ class TestOptimizeGaussian:
                             tilted(nbar, xs, np.asarray(thetas) + 0.4, loss))
         with pytest.raises(ArithmeticError, match="beats theta_rel = 0"):
             optimize_gaussian(0.5, 0.6)
+
+    def test_the_search_skips_states_past_the_level_guard(self, monkeypatch):
+        # under a 200-level guard the grid's most squeezed states at nbar = 5
+        # no longer fit; the optimum, at small squeeze fraction, does, and
+        # comes out bit for bit as under the 1024-level guard
+        monkeypatch.setattr(fock, "MAX_LEVELS", 200)
+        assert optimize_gaussian(5, 0.6).best_qfi == 13.30507694987622
+        monkeypatch.setattr(fock, "MAX_LEVELS", 20)
+        with pytest.raises(CutoffOverflowError, match="no displaced squeezed vacuum"):
+            optimize_gaussian(50, 0.6)
 
     def test_reevaluation_reproduces_optimum(self):
         res = optimize_gaussian(0.3, 1.1)

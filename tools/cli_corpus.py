@@ -79,6 +79,8 @@ CORPUS = [
     ("sld-gaussian-05-03", "sld-dump gaussian:eta=0.5,r=0.3 --phi 0.6"),
     ("sld-coherent", "sld-dump coherent:alpha=0.7 --phi 0.5"),
     ("sld-subtracted", "sld-dump subtracted:eta=1,r=0.4 --phi 0.6"),
+    ("error-phi-edge", "qfi fock:n=2 --phi 5e-4"),
+    ("optimize-gaussian-past-guard", "optimize --family gaussian --nbar 30 --phi 0.6"),
 ]
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
