@@ -4,15 +4,15 @@ The loss channel commutes with e^{i theta N} and its Kraus operators are
 real in the Fock basis, so H(psi*) = H(psi): real coefficients are
 stationary in every phase direction, and the searches run on the real
 slice. The qutrit weight angle and the Gaussian squeeze fraction (at
-theta_rel = 0) share one dense-grid plus golden-section search; general
-superpositions of the lowest Fock levels run a quasi-Newton search with the
-exact gradient of the QFI over an exact chart of the real energy slice, all
-starts advancing together in one stacked evaluation per pass. Every
-candidate satisfies the normalization and energy constraints exactly, so no
-penalty terms are involved. Checks on the hot path keep the narrowed
-search honest: the superposition optimum must be a stationary point of the
-slice and a maximum in the phases, and no relative phase may beat
-theta_rel = 0 at the Gaussian optimum.
+theta_rel = 0) share one dense-grid plus golden-section search that runs
+any number of points in lockstep; superpositions of the lowest Fock levels
+run a quasi-Newton search with the exact gradient of the QFI over an exact
+chart of the real energy slice from all starts at once. Both make one
+stacked evaluation per pass. Every candidate satisfies the normalization
+and energy constraints exactly, so no penalty terms are involved. Checks
+on the hot path keep the narrowed search honest: the superposition optimum
+must be a stationary point of the slice and a maximum in the phases, and
+no relative phase may beat theta_rel = 0 at the Gaussian optimum.
 """
 
 from __future__ import annotations
@@ -80,53 +80,74 @@ class OptimizationResult:
 
 
 def _grid_then_polish(f, grid, values, tol):
-    """Maximize f given its values on a grid: polish the cells next to the
-    best grid point by golden-section search, and keep that grid point when
-    the polish does worse. Returns (argument, value)."""
-    i = int(np.argmax(values))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - ratio * (hi - lo)
-    d = lo + ratio * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > tol:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - ratio * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + ratio * (hi - lo)
-            fd = f(d)
-    mid = 0.5 * (lo + hi)
-    best = f(mid)
-    if values[i] > best:
-        return float(grid[i]), float(values[i])
-    return float(mid), float(best)
+    """Maximize every row of a (P, G) stack of values on one grid in lockstep: polish
+    the cells next to each row's best grid point by golden-section search, and keep
+    that grid point where the polish does worse. Each pass makes one call f(rows, x),
+    the values of the given rows at x, for the points every running row asks for."""
+    def golden(lo, hi):
+        # asks for both inner points, then one per step; ends within tol
+        ratio = (math.sqrt(5.0) - 1.0) / 2.0
+        c, d = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        fc, fd = yield c, d
+        while hi - lo > tol:
+            if fc > fd:
+                hi, d, fd = d, c, fc
+                c = hi - ratio * (hi - lo)
+                fc, = yield c,
+            else:
+                lo, c, fc = c, d, fd
+                d = lo + ratio * (hi - lo)
+                fd, = yield d,
+        return 0.5 * (lo + hi)
+
+    i = np.argmax(values, axis=1)
+    searches = [golden(float(grid[max(k - 1, 0)]), float(grid[min(k + 1, grid.size - 1)])) for k in i]
+    mid = np.empty(i.size)
+    asked = {k: search.send(None) for k, search in enumerate(searches)}
+    while asked:
+        rows = [k for k, xs in asked.items() for _ in xs]
+        got = iter(f(np.array(rows), np.array([x for xs in asked.values() for x in xs])).tolist())
+        for k, xs in list(asked.items()):
+            try:
+                asked[k] = searches[k].send([next(got) for _ in xs])
+            except StopIteration as stop:
+                mid[k], _ = stop.value, asked.pop(k)
+    best, top = f(np.arange(i.size), mid), np.max(values, axis=1)
+    return np.where(top > best, grid[i], mid), np.where(top > best, top, best)
+
+
+def _qutrit_optima(nbars, phis):
+    """Optimal beta and H of :func:`optimize_qutrit` at every (nbars[k], phis[k]) in one
+    lockstep search: one stacked core call per distinct loss angle for the grid, then one
+    per pass over the points still running, at one angle each or the one they all share."""
+    nbars = np.asarray(nbars, dtype=float)
+    angles = np.array([_as_loss(phi).phi for phi in phis])
+    for nbar, phi in zip(nbars, angles):
+        if not (0.0 < nbar <= 1.0):
+            raise DomainError(f"qutrit optima need nbar in (0, 1], not {nbar:.12g} (phi = {phi:.12g})")
+    shared = LossParameter(angles[0]) if angles.size and (angles == angles[0]).all() else None
+
+    def unit(nbar, beta):
+        # the real part of _qutrit_amplitudes at phases pi, without complex arithmetic
+        a = np.arcsin(np.sqrt(np.minimum(2.0 * nbar / (np.cos(2.0 * beta) + 3.0), 1.0)))
+        return np.stack([np.cos(a), -np.sin(a) * np.sin(beta), -np.sin(a) * np.cos(beta)], -1)
+
+    grid = np.linspace(0.0, np.pi / 2, QUTRIT_GRID_POINTS)
+    vals = np.empty((nbars.size, grid.size))
+    for phi in dict.fromkeys(angles):
+        at = np.flatnonzero(angles == phi)
+        vals[at] = _qfi_stack(unit(nbars[at, None], grid).reshape(-1, 3), phi).reshape(at.size, -1)
+    return _grid_then_polish(lambda rows, beta: _qfi_stack(
+        unit(nbars[rows], beta), angles[rows] if shared is None else shared),
+        grid, vals, QUTRIT_BETA_TOL)
 
 
 def optimize_qutrit(nbar: float, phi) -> OptimizationResult:
-    """Best qutrit weight beta at fixed energy, phases at their optimum pi.
-
-    Scans a dense beta grid over [0, pi/2] in one stacked QFI evaluation and
-    polishes the best cell with golden-section search; deterministic, no
-    randomness involved. The phases pi make the amplitudes real, and they
-    are taken real, so the core runs in real arithmetic.
-    """
-    if not (0.0 < nbar <= 1.0):
-        raise DomainError("qutrit optimization is asserted for nbar in (0, 1]")
+    """Best qutrit weight beta at fixed energy, phases at their optimum pi (which
+    make the amplitudes real): the one-point case of :func:`_qutrit_optima`, a
+    dense beta grid over [0, pi/2], then golden-section polish of its best cell."""
     loss = _as_loss(phi)
-
-    def value(beta):
-        # the Qutrit probe's construction, normalized as FockVector does
-        amps = _qutrit_amplitudes(nbar, beta).real
-        return _qfi_stack((amps / np.linalg.norm(amps))[None], loss)[0]
-
-    grid = np.linspace(0.0, np.pi / 2, QUTRIT_GRID_POINTS)
-    amps = _qutrit_amplitudes(nbar, grid).real
-    vals = _qfi_stack(amps / np.linalg.norm(amps, axis=-1, keepdims=True), loss)
-    beta, best = _grid_then_polish(value, grid, vals, QUTRIT_BETA_TOL)
+    beta, best = (float(v[0]) for v in _qutrit_optima([nbar], [loss]))
     return OptimizationResult(
         family="qutrit", best_params={"beta": beta, "mu": math.pi, "nu": math.pi},
         best_qfi=best, nbar=nbar, phi=loss, starts=1, converged=True,
@@ -468,16 +489,15 @@ def optimize_gaussian(nbar: float, phi) -> OptimizationResult:
     if not nbar > 0:
         raise DomainError("energy must be positive")
     loss = _as_loss(phi)
-
-    def value(x):
-        return _gauss_values(nbar, x, 0.0, loss)[0]
-
     grid = np.linspace(0.0, 1.0, GAUSS_GRID_POINTS)
     values = _gauss_values(nbar, grid, 0.0, loss)
     if np.isneginf(values).all():
         raise CutoffOverflowError(f"no displaced squeezed vacuum at nbar = {nbar:.6g} fits "
                                   f"under the level guard fock.MAX_LEVELS; lower the energy")
-    x, h = _grid_then_polish(value, grid, values, GAUSS_X_TOL)
+    # one scalar x per call keeps the recurrence in scalar arithmetic
+    x, h = (float(v[0]) for v in _grid_then_polish(
+        lambda rows, xs: np.array([_gauss_values(nbar, v, 0.0, loss)[0] for v in xs]),
+        grid, values[None], GAUSS_X_TOL))
     thetas = np.linspace(0.0, 2.0 * math.pi, GAUSS_THETA_SCAN, endpoint=False)
     scan = _gauss_values(nbar, x, thetas, loss)
     i = int(np.argmax(scan))

@@ -24,9 +24,10 @@ from lossqfi import (Cat, Coherent, Fock, FockVector, Gaussian,
                      classical_fisher, closed_form_qfi, coverage_check,
                      displaced_squeezed_vacuum, drho_dphi, evolve, fidelity,
                      mean_photon, optimal_measurement, optimize_gaussian,
-                     optimize_qutrit, optimize_superposition, photon_subtract,
+                     optimize_superposition, photon_subtract,
                      qfi, qfi_of_state, simulate_fock_estimation, sld,
                      truncate_levels)
+from lossqfi.optimize import _qutrit_optima
 
 PHI_MIN = 1e-3
 
@@ -42,9 +43,10 @@ ORDERING_PHIS = np.linspace(0.05, math.pi / 2 - 0.05, 15)
 
 @pytest.fixture(scope="module")
 def qutrit_table():
-    """Optimal qutrit QFI on the shared (nbar, phi) grid of criteria 6 and 7."""
-    return {(nbar, float(phi)): optimize_qutrit(nbar, float(phi)).best_qfi
-            for nbar in ORDERING_NBARS for phi in ORDERING_PHIS}
+    """Optimal qutrit QFI on the shared (nbar, phi) grid of criteria 6 and 7,
+    from one lockstep search over all of it."""
+    points = [(nbar, float(phi)) for nbar in ORDERING_NBARS for phi in ORDERING_PHIS]
+    return dict(zip(points, _qutrit_optima(*zip(*points))[1].tolist()))
 
 
 def test_criterion_01_fock_optimality():

@@ -1,7 +1,8 @@
 """Property tests of the stacked QFI core, its gradient route, the
 real-slice chart and the search that runs on it, and of the constructions
 that use the log-factorial table: the Kraus operators, the closed-form
-Kraus images, the mixed-state channel and the coherent amplitudes.
+Kraus images (and their phi derivative, whose squared norm is the energy),
+the mixed-state channel and the coherent amplitudes.
 
 The stacked entry takes probes of any lengths, each at its own loss angle,
 and runs real probes in real arithmetic; zero-padding, per-element angles,
@@ -315,6 +316,28 @@ def test_closed_form_kraus_images_match_the_kraus_operators(dim, seed, phi):
         assert np.max(np.abs(cols[:, n] - k @ psi)) <= 1e-12
         kraus_sum += k @ rho @ k.conj().T
     assert _relative(cols @ cols.conj().T, kraus_sum) <= 1e-12
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(probe_stacks(), st.booleans())
+def test_the_phi_derivative_of_the_kraus_images_carries_the_energy(stack, real):
+    # <m|K_n|psi> carries cos(phi)^m sin(phi)^n, so dC/dphi = cot(phi) C N -
+    # tan(phi) N C; the binomial variance of n at each level k = m + n sums
+    # its squared norm to ||dC/dphi||_F^2 = sum_k k |psi_k|^2 = nbar
+    amps, phi = stack
+    if real:
+        norms = np.linalg.norm(amps.real, axis=1)
+        hypothesis.assume(np.all(norms > 1e-3))
+        amps = amps.real / norms[:, None]
+    levels = np.arange(amps.shape[1])
+    cols = _kraus_images(amps, phi)
+    slope = cols * levels / math.tan(phi) - levels[:, None] * cols * math.tan(phi)
+    nbar = np.abs(amps) ** 2 @ levels
+    assert np.all(np.abs(np.sum(np.abs(slope) ** 2, axis=(1, 2)) - nbar)
+                  <= 1e-12 * np.maximum(nbar, 1.0))
+    step = 1e-6
+    central = (_kraus_images(amps, phi + step) - _kraus_images(amps, phi - step)) / (2 * step)
+    assert np.max(np.abs(central - slope)) <= 1e-6 * max(1.0, np.max(np.abs(slope)))
 
 
 def test_no_stacked_core_call_exceeds_the_element_budget(monkeypatch):

@@ -43,6 +43,100 @@ class TestOptimizeQutrit:
             optimize_qutrit(0.0, 0.5)
         with pytest.raises(DomainError):
             optimize_qutrit(1.5, 0.5)
+        # a batch names the point that is out of range
+        with pytest.raises(DomainError, match=r"not 1\.5 \(phi = 0\.6\)"):
+            optimize._qutrit_optima([0.5, 1.5], [0.4, 0.6])
+
+
+REGION_POINTS = [(nbar, phi) for phi in (math.pi / 16, math.pi / 8, math.pi / 4, 3 * math.pi / 8,
+                                         math.pi / 2 - 1e-3)
+                 for nbar in np.linspace(0.05, 0.95, 19)]
+ORDERING_POINTS = [(nbar, float(phi)) for nbar in (0.1, 0.3, 0.5, 0.8, 1.0)
+                   for phi in np.linspace(0.05, math.pi / 2 - 0.05, 15)]
+
+
+def golden_reference(f, grid, values, tol):
+    """The scalar search: the best grid point, then golden-section polish of
+    the cells next to it, one value at a time. Returns (argument, value,
+    number of values asked for)."""
+    calls = []
+
+    def value(x):
+        calls.append(x)
+        return f(x)
+
+    i = int(np.argmax(values))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+    fc, fd = value(c), value(d)
+    while hi - lo > tol:
+        if fc > fd:
+            hi, d, fd = d, c, fc
+            c = hi - ratio * (hi - lo)
+            fc = value(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + ratio * (hi - lo)
+            fd = value(d)
+    mid = 0.5 * (lo + hi)
+    best = value(mid)
+    return (grid[i], values[i], len(calls)) if values[i] > best else (mid, best, len(calls))
+
+
+def qutrit_reference(nbar, phi):
+    """The optimal qutrit by the scalar search over _qfi_stack, one probe per call."""
+    grid = np.linspace(0.0, np.pi / 2, optimize.QUTRIT_GRID_POINTS)
+    values = optimize._qfi_stack(_qutrit_amplitudes(nbar, grid).real, phi)
+    return golden_reference(
+        lambda beta: optimize._qfi_stack(_qutrit_amplitudes(nbar, beta).real[None], phi)[0],
+        grid, values, optimize.QUTRIT_BETA_TOL)[:2]
+
+
+class TestLockstepSearch:
+    @pytest.mark.parametrize("points", [REGION_POINTS, ORDERING_POINTS],
+                             ids=["region-defaults", "criteria-6-7-grid"])
+    def test_batch_matches_the_scalar_search(self, points):
+        # on phi = pi/2 - 1e-3, H is flat in beta to roundoff, so beta is not held there
+        betas, qfis = optimize._qutrit_optima(*zip(*points))
+        for (nbar, phi), beta, h in zip(points, betas, qfis):
+            ref_beta, ref_h = qutrit_reference(nbar, phi)
+            assert abs(h - ref_h) <= 1e-12 * ref_h
+            if phi < math.pi / 2 - 0.01:
+                assert abs(beta - ref_beta) <= optimize.QUTRIT_BETA_TOL
+
+    def test_rows_stop_at_different_passes(self):
+        # a peak on the grid's edge leaves a one-cell bracket, an inner peak a
+        # two-cell one: the edge rows need fewer passes and drop out first
+        grid = np.linspace(0.0, 1.0, 11)
+        peaks = np.array([0.0, 0.37, 0.52, 1.0, 0.73])
+        values = -(grid - peaks[:, None]) ** 2
+        seen = []
+
+        def f(rows, x):
+            seen.append(rows.copy())
+            return -(x - peaks[rows]) ** 2
+
+        args, vals = optimize._grid_then_polish(f, grid, values, 1e-6)
+        counts = np.bincount(np.concatenate(seen), minlength=peaks.size)
+        for k, peak in enumerate(peaks):
+            ref = golden_reference(lambda x: -(x - peak) ** 2, grid, values[k], 1e-6)
+            assert (args[k], vals[k], counts[k]) == ref
+        assert counts[0] == counts[3] < counts[1] == counts[2] == counts[4]
+        # the first pass asks for both inner points of every row
+        assert len(seen) == counts[1] - 1
+        # every pass but the final one asks only rows still searching
+        assert all(set(later) <= set(earlier) for earlier, later in zip(seen[1:-2], seen[2:-1]))
+
+    def test_a_grid_point_that_beats_its_polish_is_kept(self):
+        # row 1's grid holds a spike no polish point reaches
+        grid = np.linspace(0.0, 1.0, 21)
+        values = np.vstack([-(grid - 0.4) ** 2, -(grid - 0.6) ** 2])
+        values[1, 12] = 10.0
+        args, vals = optimize._grid_then_polish(
+            lambda rows, x: -(x - np.array([0.4, 0.6])[rows]) ** 2, grid, values, 1e-6)
+        assert (args[1], vals[1]) == (grid[12], 10.0)
+        assert abs(args[0] - 0.4) < 1e-6 and vals[0] > -1e-12
 
 
 class TestOptimizeSuperposition:
