@@ -158,26 +158,26 @@ def coverage_check(phi_list, nbar_grid, region: RegionMap) -> CoverageReport:
     """Check that optimal qutrit weights are attainable by truncated states.
 
     One lockstep search (:func:`optimize._qutrit_optima`) gives the optimal
-    beta at every (phi, nbar); the region, sorted by nbar once, is searched
-    on each point's nbar window for a sample within (COVER_DELTA_NBAR,
-    COVER_DELTA_BETA). Misses inside the extreme-loss / low-energy corner are
-    flagged as the permitted exception (there, practically all probes
-    perform at the same near-ultimate level).
+    beta at every (phi, nbar), and the region is searched for a sample within
+    (COVER_DELTA_NBAR, COVER_DELTA_BETA) of each. Misses inside the
+    extreme-loss / low-energy corner are flagged as the permitted exception
+    (there, practically all probes perform at the same near-ultimate level).
     """
     from .optimize import _qutrit_optima
 
     if region.points.size == 0:
         raise DomainError("region map is empty")
+    pts_n = region.points["nbar"]
+    pts_b = region.points["beta"]
+    angles = [_as_loss(phi).phi for phi in phi_list]
     phis, nbars = (a.ravel() for a in np.meshgrid(
-        [_as_loss(phi).phi for phi in phi_list], np.asarray(nbar_grid, dtype=float), indexing="ij"))
+        angles, np.asarray(nbar_grid, dtype=float), indexing="ij"))
     betas, qfis = _qutrit_optima(nbars, phis)
-    # sorted by nbar, a point's matches lie in the run of twice its tolerance
-    order = np.argsort(region.points["nbar"])
-    pts_n, pts_b = region.points["nbar"][order], region.points["beta"][order]
-    runs = np.searchsorted(pts_n, [nbars - 2.0 * COVER_DELTA_NBAR, nbars + 2.0 * COVER_DELTA_NBAR])
-    hits = [bool(np.any((np.abs(pts_n[a:b] - nbar) <= COVER_DELTA_NBAR)
-                        & (np.abs(pts_b[a:b] - beta) <= COVER_DELTA_BETA)))
-            for a, b, nbar, beta in zip(*runs.tolist(), nbars.tolist(), betas.tolist())]
-    exceptions = ((phis >= EXCEPTION_PHI) & (nbars <= EXCEPTION_NBAR)).tolist()
-    columns = [c.tolist() for c in (phis, nbars, betas, qfis)] + [hits, exceptions]
-    return CoverageReport(points=[CoveragePoint(*point) for point in zip(*columns)])
+    out = []
+    for phi, nbar, beta, qfi in zip(phis.tolist(), nbars.tolist(), betas.tolist(), qfis.tolist()):
+        hit = bool(np.any((np.abs(pts_n - nbar) <= COVER_DELTA_NBAR)
+                          & (np.abs(pts_b - beta) <= COVER_DELTA_BETA)))
+        exc = (phi >= EXCEPTION_PHI) and (nbar <= EXCEPTION_NBAR)
+        out.append(CoveragePoint(phi=phi, nbar=nbar, beta_opt=beta, qfi_opt=qfi,
+                                 covered=hit, exception=exc))
+    return CoverageReport(points=out)

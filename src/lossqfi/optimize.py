@@ -82,37 +82,34 @@ class OptimizationResult:
 def _grid_then_polish(f, grid, values, tol):
     """Maximize every row of a (P, G) stack of values on one grid in lockstep: polish
     the cells next to each row's best grid point by golden-section search, and keep
-    that grid point where the polish does worse. Each pass makes one call f(rows, x),
-    the values of the given rows at x, for the points every running row asks for."""
-    def golden(lo, hi):
-        # asks for both inner points, then one per step; ends within tol
-        ratio = (math.sqrt(5.0) - 1.0) / 2.0
-        c, d = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
-        fc, fd = yield c, d
-        while hi - lo > tol:
-            if fc > fd:
-                hi, d, fd = d, c, fc
-                c = hi - ratio * (hi - lo)
-                fc, = yield c,
-            else:
-                lo, c, fc = c, d, fd
-                d = lo + ratio * (hi - lo)
-                fd, = yield d,
-        return 0.5 * (lo + hi)
-
+    that grid point where the polish does worse. f(rows, x) gives the values of the
+    given rows at x. Each row runs the scalar recurrence on floats; the first call
+    takes both inner points of every row, then each pass makes one call for the rows
+    whose bracket is still wider than tol."""
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
     i = np.argmax(values, axis=1)
-    searches = [golden(float(grid[max(k - 1, 0)]), float(grid[min(k + 1, grid.size - 1)])) for k in i]
-    mid = np.empty(i.size)
-    asked = {k: search.send(None) for k, search in enumerate(searches)}
-    while asked:
-        rows = [k for k, xs in asked.items() for _ in xs]
-        got = iter(f(np.array(rows), np.array([x for xs in asked.values() for x in xs])).tolist())
-        for k, xs in list(asked.items()):
-            try:
-                asked[k] = searches[k].send([next(got) for _ in xs])
-            except StopIteration as stop:
-                mid[k], _ = stop.value, asked.pop(k)
-    best, top = f(np.arange(i.size), mid), np.max(values, axis=1)
+    rows = np.arange(i.size)
+    lo = grid[np.maximum(i - 1, 0)].tolist()
+    hi = grid[np.minimum(i + 1, grid.size - 1)].tolist()
+    c = [b - ratio * (b - a) for a, b in zip(lo, hi)]
+    d = [a + ratio * (b - a) for a, b in zip(lo, hi)]
+    fc, fd = (v.tolist() for v in np.split(f(np.tile(rows, 2), np.array(c + d)), 2))
+    run = [k for k in range(i.size) if hi[k] - lo[k] > tol]
+    while run:
+        left = [fc[k] > fd[k] for k in run]
+        for k, is_left in zip(run, left):
+            if is_left:
+                hi[k], d[k], fd[k] = d[k], c[k], fc[k]
+                c[k] = hi[k] - ratio * (hi[k] - lo[k])
+            else:
+                lo[k], c[k], fc[k] = c[k], d[k], fd[k]
+                d[k] = lo[k] + ratio * (hi[k] - lo[k])
+        x = [c[k] if is_left else d[k] for k, is_left in zip(run, left)]
+        for k, is_left, v in zip(run, left, f(np.array(run), np.array(x)).tolist()):
+            (fc if is_left else fd)[k] = v
+        run = [k for k in run if hi[k] - lo[k] > tol]
+    mid = 0.5 * (np.array(lo) + np.array(hi))
+    best, top = f(rows, mid), values[rows, i]
     return np.where(top > best, grid[i], mid), np.where(top > best, top, best)
 
 
@@ -124,21 +121,19 @@ def _qutrit_optima(nbars, phis):
     angles = np.array([_as_loss(phi).phi for phi in phis])
     for nbar, phi in zip(nbars, angles):
         if not (0.0 < nbar <= 1.0):
-            raise DomainError(f"qutrit optima need nbar in (0, 1], not {nbar:.12g} (phi = {phi:.12g})")
+            raise DomainError(f"qutrit optima need nbar in (0, 1], "
+                              f"not {nbar:.12g} (phi = {phi:.12g})")
     shared = LossParameter(angles[0]) if angles.size and (angles == angles[0]).all() else None
-
-    def unit(nbar, beta):
-        # the real part of _qutrit_amplitudes at phases pi, without complex arithmetic
-        a = np.arcsin(np.sqrt(np.minimum(2.0 * nbar / (np.cos(2.0 * beta) + 3.0), 1.0)))
-        return np.stack([np.cos(a), -np.sin(a) * np.sin(beta), -np.sin(a) * np.cos(beta)], -1)
 
     grid = np.linspace(0.0, np.pi / 2, QUTRIT_GRID_POINTS)
     vals = np.empty((nbars.size, grid.size))
     for phi in dict.fromkeys(angles):
         at = np.flatnonzero(angles == phi)
-        vals[at] = _qfi_stack(unit(nbars[at, None], grid).reshape(-1, 3), phi).reshape(at.size, -1)
+        # one energy per call keeps the complex temporaries to 721 states
+        amps = np.concatenate([_qutrit_amplitudes(nbar, grid).real for nbar in nbars[at]])
+        vals[at] = _qfi_stack(amps, phi).reshape(at.size, -1)
     return _grid_then_polish(lambda rows, beta: _qfi_stack(
-        unit(nbars[rows], beta), angles[rows] if shared is None else shared),
+        _qutrit_amplitudes(nbars[rows], beta).real, angles[rows] if shared is None else shared),
         grid, vals, QUTRIT_BETA_TOL)
 
 
@@ -494,7 +489,7 @@ def optimize_gaussian(nbar: float, phi) -> OptimizationResult:
     if np.isneginf(values).all():
         raise CutoffOverflowError(f"no displaced squeezed vacuum at nbar = {nbar:.6g} fits "
                                   f"under the level guard fock.MAX_LEVELS; lower the energy")
-    # one scalar x per call keeps the recurrence in scalar arithmetic
+    # one _gauss_values call per x, as the scalar search made, keeps every printed digit
     x, h = (float(v[0]) for v in _grid_then_polish(
         lambda rows, xs: np.array([_gauss_values(nbar, v, 0.0, loss)[0] for v in xs]),
         grid, values[None], GAUSS_X_TOL))

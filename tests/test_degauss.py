@@ -7,7 +7,6 @@ from lossqfi import (DomainError, coherent_state, coverage_check,
                      displaced_squeezed_vacuum, fidelity, fock_state,
                      mean_photon, photon_subtract, qutrit_coords, region_map,
                      truncate_levels, truncated_subtracted_coeffs)
-from lossqfi import degauss, optimize
 from lossqfi.errors import DegenerateStateError
 
 
@@ -177,25 +176,3 @@ class TestCoverage:
         report = coverage_check([math.pi / 8], np.linspace(0.1, 0.9, 5),
                                 default_region)
         assert report.passed
-
-    def test_one_pass_lookup_matches_a_scan_of_every_sample(self, monkeypatch):
-        # optimal points planted beside the samples of a sparse lattice, at and
-        # around both tolerances, get the flags of the direct test against
-        # every sample
-        region = region_map(np.linspace(0.0, 2.0, 9), np.linspace(-1.0, 1.0, 9))
-        pts = region.points
-        rng = np.random.default_rng(5)
-        pick = rng.choice(pts.size, 200)
-        scale = rng.choice([0.0, 0.5, 1.0, 1.0 + 1e-12, 1.5], size=(2, 200))
-        sign = rng.choice([-1.0, 1.0], size=(2, 200))
-        nbars = np.clip(pts["nbar"][pick] + sign[0] * scale[0] * degauss.COVER_DELTA_NBAR,
-                        1e-3, 1.0)
-        betas = pts["beta"][pick] + sign[1] * scale[1] * degauss.COVER_DELTA_BETA
-        monkeypatch.setattr(optimize, "_qutrit_optima",
-                            lambda n, p: (betas.copy(), np.full(n.size, 0.1)))
-        report = coverage_check([0.7], nbars, region)
-        direct = [bool(np.any((np.abs(pts["nbar"] - n) <= degauss.COVER_DELTA_NBAR)
-                              & (np.abs(pts["beta"] - b) <= degauss.COVER_DELTA_BETA)))
-                  for n, b in zip(nbars, betas)]
-        assert [p.covered for p in report.points] == direct
-        assert 0 < sum(direct) < len(direct)
