@@ -8,11 +8,14 @@ theta_rel = 0) share one dense-grid plus golden-section search that runs
 any number of points in lockstep; superpositions of the lowest Fock levels
 run a quasi-Newton search with the exact gradient of the QFI over an exact
 chart of the real energy slice from all starts at once. Both make one
-stacked evaluation per pass. Every candidate satisfies the normalization
-and energy constraints exactly, so no penalty terms are involved. Checks
-on the hot path keep the narrowed search honest: the superposition optimum
-must be a stationary point of the slice and a maximum in the phases, and
-no relative phase may beat theta_rel = 0 at the Gaussian optimum.
+stacked evaluation per pass. The exact phase-space form of a Gaussian probe
+through loss ranks the squeeze grid and scans the relative phase; every
+reported H comes from the QFI core. Every candidate satisfies the
+normalization and energy constraints exactly, so no penalty terms are
+involved. Checks on the hot path keep the narrowed search honest: the
+superposition optimum must be a stationary point of the slice and a maximum
+in the phases, and no relative phase may beat theta_rel = 0 at the Gaussian
+optimum.
 """
 
 from __future__ import annotations
@@ -54,6 +57,8 @@ PHASE_STEP = 1e-3
 PHASE_HESS_TOL = 1e-3
 GAUSS_GRID_POINTS = 41
 GAUSS_X_TOL = 1e-6
+# the closed form and the core agree to about 1e-7 relative
+GAUSS_TIE_TOL = 1e-6
 GAUSS_THETA_SCAN = 16
 GAUSS_THETA_TOL = 1e-9
 
@@ -444,62 +449,97 @@ def optimize_superposition(kmax: int, nbar: float, phi, seed: int = 0,
 # displaced squeezed vacuum
 
 
-def _gauss_values(nbar: float, xs, thetas, loss: LossParameter) -> np.ndarray:
-    """H of the displaced squeezed vacua with squeeze fractions ``xs`` and
-    relative phases ``thetas`` (broadcast together) at energy nbar, from one
-    recurrence over all of them and one stacked core call; each state is cut
-    exactly as :func:`displaced_squeezed_vacuum` cuts it, and a state that
-    needs more than MAX_LEVELS levels gets H = -inf."""
+def _gauss_states(nbar: float, xs) -> list:
+    """The displaced squeezed vacua with squeeze fractions ``xs`` at energy nbar
+    and theta_rel = 0, from one recurrence over all of them, each cut exactly as
+    :func:`displaced_squeezed_vacuum` cuts it; None for a state that needs more
+    than MAX_LEVELS levels."""
     xs = np.clip(xs, 0.0, 1.0)
     r = np.arcsinh(np.sqrt(xs * nbar))
     eta = np.sqrt(np.maximum((1.0 - xs) * nbar, 0.0))
     # one scalar x keeps the recurrence in scalar arithmetic, much faster than
     # an array of one
-    amps = _gaussian_amplitudes(eta, r, thetas)
+    amps = _gaussian_amplitudes(eta, r, 0.0)
     states = []
     for row in amps.reshape(-1, amps.shape[-1]):
         try:
             states.append(_cut(row))
         except CutoffOverflowError:
             states.append(None)
-    fits = [i for i, state in enumerate(states) if state is not None]
-    h = np.full(len(states), -np.inf)
-    h[fits] = _qfi_stack([states[i] for i in fits], loss)
-    return h
+    return states
+
+
+def _gauss_value(nbar: float, x: float, loss: LossParameter) -> float:
+    """H of squeeze fraction x at energy nbar from the core; -inf past the level guard."""
+    state = _gauss_states(nbar, x)[0]
+    return -math.inf if state is None else float(_qfi_stack([state], loss)[0])
+
+
+def _gauss_closed_form(nbar: float, xs, thetas, phi: float) -> np.ndarray:
+    """H of D(eta) S(r e^{i theta_rel})|0> with sinh(r)^2 = x nbar and
+    eta^2 = (1 - x) nbar, with no truncation, for ``xs`` and ``thetas``
+    broadcast together (Monras and Illuminati, PRA 83, 012315 (2011); Pinel et
+    al., PRA 88, 040102(R) (2013)). With vacuum covariance I, loss maps
+    sigma0 = R(theta/2) diag(e^{-2r}, e^{2r}) R(theta/2)^T and d0 = (2 eta, 0)
+    to sigma = cos^2(phi) sigma0 + sin^2(phi) I and d = cos(phi) d0, and
+    H = Tr[(sigma^-1 sigma')^2] / (2 (1 + mu^2)) + 2 mu'^2 / (1 - mu^4)
+    + d'^T sigma^-1 d' with mu = det(sigma)^(-1/2). sigma' = sin(2 phi) (I - sigma0)
+    commutes with sigma, so the first term sums over the eigenvalues e^{-+2r} of
+    sigma0; with det = det sigma = 1 + cos^2 sin^2 4 x nbar the second is
+    2 cos(2 phi)^2 4 x nbar / (det (det + 1)), 0 at x = 0.
+    """
+    c2, s2 = math.cos(phi) ** 2, math.sin(phi) ** 2
+    r = np.arcsinh(np.sqrt(xs * nbar))
+    spread = 4.0 * xs * nbar
+    det = 1.0 + c2 * s2 * spread
+    ratios = sum((np.expm1(e) / (c2 * np.exp(e) + s2)) ** 2 for e in (-2.0 * r, 2.0 * r))
+    covariance = 2.0 * c2 * s2 * det * ratios / (det + 1.0) \
+        + 2.0 * math.cos(2.0 * phi) ** 2 * spread / (det * (det + 1.0))
+    # sigma0_pp, the variance across the displacement
+    var_p = np.cosh(2.0 * r) + np.cos(thetas) * np.sinh(2.0 * r)
+    return covariance + 4.0 * (1.0 - xs) * nbar * s2 * (c2 * var_p + s2) / det
 
 
 def optimize_gaussian(nbar: float, phi) -> OptimizationResult:
     """Best displaced squeezed vacuum at fixed energy.
 
-    Splits the energy as sinh(r)^2 = x nbar, |eta|^2 = (1-x) nbar and
-    searches the squeeze fraction x at theta_rel = 0 like the qutrit angle:
-    a grid, then golden-section polish. theta_rel -> -theta_rel is complex
-    conjugation, so theta_rel = 0 is stationary; a scan of theta_rel at the
+    Splits the energy as sinh(r)^2 = x nbar, |eta|^2 = (1-x) nbar and searches
+    the squeeze fraction x at theta_rel = 0 like the qutrit angle: a grid
+    ranked by the exact phase-space form (:func:`_gauss_closed_form`), with
+    ties within GAUSS_TIE_TOL ranked by the core, then golden-section polish on
+    the core; the best grid point, kept where the polish does worse, has its
+    core H too. theta_rel -> -theta_rel is complex conjugation, so
+    theta_rel = 0 is stationary; a closed-form scan of theta_rel at the
     optimum raises ArithmeticError if some phase beats it by more than
-    GAUSS_THETA_TOL max(1, H), or than the roundoff of H at small loss. The
-    grid, each polish point and the scan are one :func:`_gauss_values` call
-    each. States past the level guard drop out of the search, so it raises
+    GAUSS_THETA_TOL max(1, H). States past the level guard drop out of the
+    grid (one recurrence over it) and the polish, so it raises
     CutoffOverflowError only when no grid state fits in MAX_LEVELS levels.
     """
     if not nbar > 0:
         raise DomainError("energy must be positive")
     loss = _as_loss(phi)
     grid = np.linspace(0.0, 1.0, GAUSS_GRID_POINTS)
-    values = _gauss_values(nbar, grid, 0.0, loss)
-    if np.isneginf(values).all():
+    states = _gauss_states(nbar, grid)
+    fits = np.array([state is not None for state in states])
+    if not fits.any():
         raise CutoffOverflowError(f"no displaced squeezed vacuum at nbar = {nbar:.6g} fits "
                                   f"under the level guard fock.MAX_LEVELS; lower the energy")
-    # one _gauss_values call per x, as the scalar search made, keeps every printed digit
+    rank = np.where(fits, _gauss_closed_form(nbar, grid, 0.0, loss.phi), -np.inf)
+    # the core ranks the grid points that tie with the best within its own error,
+    # and gives the best one the value that the polish must beat
+    near = np.flatnonzero(rank >= (1.0 - GAUSS_TIE_TOL) * rank.max())
+    values = np.full((1, grid.size), -np.inf)
+    values[0, near] = [_qfi_stack([states[k]], loss)[0] for k in near]
+    # one core call per x, as the scalar search made, keeps every printed digit
     x, h = (float(v[0]) for v in _grid_then_polish(
-        lambda rows, xs: np.array([_gauss_values(nbar, v, 0.0, loss)[0] for v in xs]),
-        grid, values[None], GAUSS_X_TOL))
+        lambda rows, xs: np.array([_gauss_value(nbar, v, loss) for v in xs]),
+        grid, values, GAUSS_X_TOL))
     thetas = np.linspace(0.0, 2.0 * math.pi, GAUSS_THETA_SCAN, endpoint=False)
-    scan = _gauss_values(nbar, x, thetas, loss)
+    scan = _gauss_closed_form(nbar, x, thetas, loss.phi)
     i = int(np.argmax(scan))
-    roundoff = QFI_ROUNDOFF / math.sin(loss.phi) ** 2
-    if scan[i] > h + max(GAUSS_THETA_TOL, roundoff) * max(1.0, h):
+    if scan[i] > scan[0] + GAUSS_THETA_TOL * max(1.0, scan[0]):
         raise ArithmeticError(f"theta_rel = {thetas[i]:.6g} beats theta_rel = 0 at "
-                              f"squeeze fraction {x:.6g}: H = {scan[i]} against {h}")
+                              f"squeeze fraction {x:.6g}: H = {scan[i]} against {scan[0]}")
     r = math.asinh(math.sqrt(x * nbar))
     eta = math.sqrt(max((1.0 - x) * nbar, 0.0))
     return OptimizationResult(

@@ -260,15 +260,48 @@ class TestOptimizeGaussian:
             assert max(scan) <= res.best_qfi + 1e-9
 
     def test_theta_check_catches_a_tilted_search(self, monkeypatch):
-        # planted violation: the squeeze-fraction search runs at
-        # theta_rel = 0.4, where the scan at its optimum finds better phases;
-        # the grid, the polish and the scan all evaluate through _gauss_values
-        tilted = optimize._gauss_values
-        monkeypatch.setattr(optimize, "_gauss_values",
-                            lambda nbar, xs, thetas, loss:
-                            tilted(nbar, xs, np.asarray(thetas) + 0.4, loss))
+        # planted violation: the closed form that ranks the grid and runs the
+        # theta_rel scan is read 0.4 off in theta_rel, so the scan at the
+        # optimum finds phases that beat its theta_rel = 0
+        tilted = optimize._gauss_closed_form
+        monkeypatch.setattr(optimize, "_gauss_closed_form",
+                            lambda nbar, xs, thetas, phi:
+                            tilted(nbar, xs, np.asarray(thetas) + 0.4, phi))
         with pytest.raises(ArithmeticError, match="beats theta_rel = 0"):
             optimize_gaussian(0.5, 0.6)
+
+    def test_closed_form_matches_the_core(self):
+        # seeded probes over nbar 0.05-30, phi 0.05-1.52 and any theta_rel,
+        # with the coherent point x = 0 and squeezed vacuum x = 1; the squeeze
+        # stays at sinh(r)^2 <= 12 so every state fits under the level guard
+        rng = np.random.default_rng(2027)
+        nbars = np.exp(rng.uniform(math.log(0.05), math.log(30.0), 24))
+        xs = rng.uniform(0.0, 1.0, 24) * np.minimum(1.0, 12.0 / nbars)
+        nbars = np.concatenate([nbars, [0.2, 3.0, 30.0, 0.1, 1.3, 12.0]])
+        xs = np.concatenate([xs, [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]])
+        for nbar, x in zip(nbars, xs):
+            phi, theta = rng.uniform(0.05, 1.52), rng.uniform(0.0, 2.0 * math.pi)
+            r, eta = math.asinh(math.sqrt(x * nbar)), math.sqrt((1.0 - x) * nbar)
+            core = qfi_of_state(fock.displaced_squeezed_vacuum(eta, r, theta), phi)
+            assert optimize._gauss_closed_form(nbar, x, theta, phi) == pytest.approx(
+                core, rel=1e-6), (nbar, x, theta, phi)
+
+    def test_reported_optimum_matches_the_closed_form(self):
+        for nbar, phi in [(0.1, 0.3), (0.5, 0.6), (1.0, 0.9), (1.5, 1.2), (5.0, 0.6),
+                          (30.0, 0.6)]:
+            res = optimize_gaussian(nbar, phi)
+            closed = optimize._gauss_closed_form(
+                nbar, res.best_params["squeeze_fraction"], 0.0, phi)
+            assert res.best_qfi == pytest.approx(closed, rel=1e-7), (nbar, phi)
+
+    def test_the_core_ranks_grid_points_the_closed_form_cannot_tell_apart(self):
+        # at phi = pi/2 - 1e-3, H is flat in x to below the core's own error,
+        # so the closed form's best grid point (x = 0.025 at nbar 20) is not
+        # the core's (x = 0.05); the reported H is at least the core's best
+        phi = LossParameter(math.pi / 2 - 1e-3)
+        res = optimize_gaussian(20.0, phi)
+        grid = np.linspace(0.0, 1.0, optimize.GAUSS_GRID_POINTS)[:6]
+        assert res.best_qfi >= max(optimize._gauss_value(20.0, x, phi) for x in grid)
 
     def test_the_search_skips_states_past_the_level_guard(self, monkeypatch):
         # under a 200-level guard the grid's most squeezed states at nbar = 5

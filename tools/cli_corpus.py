@@ -81,6 +81,10 @@ CORPUS = [
     ("sld-subtracted", "sld-dump subtracted:eta=1,r=0.4 --phi 0.6"),
     ("error-phi-edge", "qfi fock:n=2 --phi 5e-4"),
     ("optimize-gaussian-past-guard", "optimize --family gaussian --nbar 30 --phi 0.6"),
+    # H is flat in the squeeze fraction to ~1e-8 near phi = pi/2
+    ("optimize-gaussian-flat", "optimize --family gaussian --nbar 1 --phi 1.5697963"),
+    # the grid end x = 1 beats the golden-section polish
+    ("optimize-gaussian-grid-end", "optimize --family gaussian --nbar 1.3 --phi 0.26"),
 ]
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
