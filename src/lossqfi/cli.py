@@ -149,7 +149,7 @@ def _sweep_phi_rows(family: str, phis, args):
     if opt is None:
         state = build_probe(parse_probe(family))
         nbar = mean_photon(state)
-        hs = _qfi_stack([state] * len(phis), phis)
+        hs = _qfi_stack(np.tile(state.amplitudes, (len(phis), 1)), phis)
         return [[family, p, nbar, h, 4.0 * nbar] for p, h in zip(phis, hs)]
     kv = _parse_kv(head, body, ("nbar",) + opt.keys)
     if "nbar" not in kv:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (LossParameter, _as_loss, _dagger, _density, _kraus_images,
-                      _loss_generator)
+from .channel import (PHI_MIN, LossParameter, _as_loss, _dagger, _density,
+                      _kraus_images, _loss_generator)
 from .errors import DomainError
 from .fock import TRACE_TOL, Spectrum, amplitudes_of, hermitian_eig, mean_photon
 from .probes import ProbeSpec, build_probe
@@ -101,10 +101,14 @@ def _sld_frame(rho, drho, trace):
 
 def _angles(phi, count: int):
     """The loss angle of ``count`` probes: one float for one angle, else one
-    per probe in a (count,) array; each is checked by :func:`_as_loss`."""
+    per probe in a (count,) array, checked in one vectorized test; the first
+    angle outside the domain raises :func:`_as_loss`'s DomainError."""
     if not isinstance(phi, (list, tuple, np.ndarray)):
         return _as_loss(phi).phi
-    angles = np.array([_as_loss(p).phi for p in phi], dtype=float)
+    angles = np.asarray(phi, dtype=float)
+    outside = ~((PHI_MIN <= angles) & (angles <= np.pi / 2 - PHI_MIN))
+    if outside.any():
+        _as_loss(angles[outside][0])
     if angles.size != count:
         raise DomainError(f"{angles.size} loss angles given for {count} probes")
     return angles
@@ -148,56 +152,23 @@ def _checked_frame(amps, phi):
     return h_pairs, cols, vecs, sld_eig
 
 
-def _chunks(dims: np.ndarray) -> list:
-    """Index arrays that split probes of the given lengths into stacks: all
-    of them when they fit, else runs of probes sorted by length. A stack of
-    B > 1 probes padded to its largest D keeps B D^2 within STACK_BUDGET."""
-    if dims.size * np.max(dims, initial=0) ** 2 <= STACK_BUDGET or dims.size == 1:
-        return [np.arange(dims.size)] if dims.size else []
-    order = np.argsort(dims, kind="stable")
-    size = dims[order] ** 2
-    chunks, start = [], 0
-    while start < order.size:
-        # B D^2 grows along the sorted probes, so the ones that fit lead
-        fits = np.arange(1, order.size - start + 1) * size[start:] <= STACK_BUDGET
-        stop = start + max(1, int(np.count_nonzero(fits)))
-        chunks.append(order[start:stop])
-        start = stop
-    return chunks
+def _stacks(count: int, dim: int) -> list:
+    """Row slices that split a (count, dim) stack into stacks of
+    max(1, STACK_BUDGET // dim^2) probes, so that a stack of B > 1 probes
+    keeps B D^2 within STACK_BUDGET."""
+    step = max(1, STACK_BUDGET // dim ** 2)
+    return [slice(start, start + step) for start in range(0, count, step)]
 
 
-def _qfi_stack(probes, phi) -> np.ndarray:
-    """QFI of every pure probe, each at its own loss angle, checked by
-    :func:`_checked_frame`.
-
-    ``probes`` is a (B, D) amplitude stack or a sequence of amplitude vectors
-    (or FockVectors) of any lengths; ``phi`` is one loss angle or one per
-    probe. Probes are sorted by length and zero-padded within each stack of
-    :func:`_chunks`, which leaves every H unchanged. Returns H in the order
-    of ``probes``.
-    """
-    if isinstance(probes, np.ndarray):
-        rows, dims = probes, np.full(probes.shape[0], probes.shape[-1])
-    else:
-        rows = [amplitudes_of(p) for p in probes]
-        dims = np.array([row.size for row in rows], dtype=int)
-    angles = _angles(phi, dims.size)
-    chunks = _chunks(dims)
-    if len(chunks) == 1 and isinstance(rows, np.ndarray):
-        # one stack in its own order: nothing to gather or scatter
-        return _checked_frame(rows, angles)[0]
-    out = np.empty(dims.size)
-    for idx in chunks:
-        if isinstance(rows, np.ndarray):
-            stack = rows[idx]
-        elif idx.size == 1:
-            stack = rows[idx[0]][None]
-        else:
-            stack = np.zeros((idx.size, dims[idx].max()),
-                             dtype=np.result_type(*{rows[i].dtype for i in idx}))
-            for j, i in enumerate(idx):
-                stack[j, :dims[i]] = rows[i]
-        out[idx] = _checked_frame(stack, angles if isinstance(angles, float) else angles[idx])[0]
+def _qfi_stack(amps, phi) -> np.ndarray:
+    """QFI of every pure probe of a (B, D) amplitude stack, checked by
+    :func:`_checked_frame`, at one loss angle or at one per probe (a (B,)
+    array of phi), in the stacks of :func:`_stacks`."""
+    angles = _angles(phi, amps.shape[0])
+    out = np.empty(amps.shape[0])
+    for rows in _stacks(*amps.shape):
+        out[rows] = _checked_frame(
+            amps[rows], angles if isinstance(angles, float) else angles[rows])[0]
     return out
 
 
@@ -211,7 +182,7 @@ def _qfi_grad_stack(amps, loss: LossParameter):
     K_n c are the Kraus images the core already holds, and
     K_n+ = (s^n / sqrt(n!)) (a+)^n cos(phi)^N comes from the images of the
     basis states. Returns (H, gradient); H is :func:`_qfi_stack`'s, from the
-    same stacks of :func:`_chunks`.
+    same stacks of :func:`_stacks`.
     """
     amps = np.asarray(amps, dtype=float)
     phi = _as_loss(loss).phi
@@ -219,11 +190,11 @@ def _qfi_grad_stack(amps, loss: LossParameter):
     kraus = _kraus_images(np.eye(amps.shape[-1]), phi)
     h = np.empty(amps.shape[0])
     grad = np.empty_like(amps)
-    for idx in _chunks(np.full(amps.shape[0], amps.shape[-1])):
-        h[idx], cols, vecs, sld_eig = _checked_frame(amps[idx], phi)
+    for rows in _stacks(*amps.shape):
+        h[rows], cols, vecs, sld_eig = _checked_frame(amps[rows], phi)
         sld_fock = _sld_fock(vecs, sld_eig)
         g = 2.0 * _loss_generator(sld_fock, phi, adjoint=True) - sld_fock @ sld_fock
-        grad[idx] = 2.0 * np.einsum("bin,jin->bj", g @ cols, kraus)
+        grad[rows] = 2.0 * np.einsum("bin,jin->bj", g @ cols, kraus)
     return h, grad
 
 

@@ -121,14 +121,13 @@ def _grid_then_polish(f, grid, values, tol):
 def _qutrit_optima(nbars, phis):
     """Optimal beta and H of :func:`optimize_qutrit` at every (nbars[k], phis[k]) in one
     lockstep search: one stacked core call per distinct loss angle for the grid, then one
-    per pass over the points still running, at one angle each or the one they all share."""
+    per pass over the points still running, at one angle per point."""
     nbars = np.asarray(nbars, dtype=float)
     angles = np.array([_as_loss(phi).phi for phi in phis])
     for nbar, phi in zip(nbars, angles):
         if not (0.0 < nbar <= 1.0):
             raise DomainError(f"qutrit optima need nbar in (0, 1], "
                               f"not {nbar:.12g} (phi = {phi:.12g})")
-    shared = LossParameter(angles[0]) if angles.size and (angles == angles[0]).all() else None
 
     grid = np.linspace(0.0, np.pi / 2, QUTRIT_GRID_POINTS)
     vals = np.empty((nbars.size, grid.size))
@@ -138,8 +137,7 @@ def _qutrit_optima(nbars, phis):
         amps = np.concatenate([_qutrit_amplitudes(nbar, grid).real for nbar in nbars[at]])
         vals[at] = _qfi_stack(amps, phi).reshape(at.size, -1)
     return _grid_then_polish(lambda rows, beta: _qfi_stack(
-        _qutrit_amplitudes(nbars[rows], beta).real, angles[rows] if shared is None else shared),
-        grid, vals, QUTRIT_BETA_TOL)
+        _qutrit_amplitudes(nbars[rows], beta).real, angles[rows]), grid, vals, QUTRIT_BETA_TOL)
 
 
 def optimize_qutrit(nbar: float, phi) -> OptimizationResult:
@@ -472,7 +470,7 @@ def _gauss_states(nbar: float, xs) -> list:
 def _gauss_value(nbar: float, x: float, loss: LossParameter) -> float:
     """H of squeeze fraction x at energy nbar from the core; -inf past the level guard."""
     state = _gauss_states(nbar, x)[0]
-    return -math.inf if state is None else float(_qfi_stack([state], loss)[0])
+    return -math.inf if state is None else qfi_of_state(state, loss)
 
 
 def _gauss_closed_form(nbar: float, xs, thetas, phi: float) -> np.ndarray:
@@ -529,7 +527,7 @@ def optimize_gaussian(nbar: float, phi) -> OptimizationResult:
     # and gives the best one the value that the polish must beat
     near = np.flatnonzero(rank >= (1.0 - GAUSS_TIE_TOL) * rank.max())
     values = np.full((1, grid.size), -np.inf)
-    values[0, near] = [_qfi_stack([states[k]], loss)[0] for k in near]
+    values[0, near] = [qfi_of_state(states[k], loss) for k in near]
     # one core call per x, as the scalar search made, keeps every printed digit
     x, h = (float(v[0]) for v in _grid_then_polish(
         lambda rows, xs: np.array([_gauss_value(nbar, v, loss) for v in xs]),

@@ -282,6 +282,11 @@ class TestBadInput:
         code, text = run(tmp_path, "qfi", "fock:n=2", "--phi", "5e-4")
         assert (code, text) == (1, "")
         assert capsys.readouterr().err == "error: phi=0.0005 outside [0.001, pi/2 - 0.001]\n"
+        # a sweep checks its angles together and names the first one outside
+        code, text = run(tmp_path, "sweep-phi", "--families", "fock:n=1",
+                         "--phi", "0.0005:0.2:3")
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == "error: phi=0.0005 outside [0.001, pi/2 - 0.001]\n"
 
 
     def test_a_failed_engine_check_exits_with_a_message(self, tmp_path, capsys, monkeypatch):

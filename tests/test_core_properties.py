@@ -4,7 +4,7 @@ that use the log-factorial table: the Kraus operators, the closed-form
 Kraus images (and their phi derivative, whose squared norm is the energy),
 the mixed-state channel and the coherent amplitudes.
 
-The stacked entry takes probes of any lengths, each at its own loss angle,
+The stacked entry takes a (B, D) stack at one loss angle or one per probe,
 and runs real probes in real arithmetic; zero-padding, per-element angles,
 the real route and its element budget are each checked here.
 
@@ -256,23 +256,29 @@ def ragged_probes(draw):
 def test_zero_padding_leaves_the_qfi_unchanged(stack, pad):
     probes, phis = stack
     for psi, phi in zip(probes, phis):
-        h = _qfi_stack([psi], phi)[0]
-        padded = _qfi_stack([np.pad(psi, (0, pad))], phi)[0]
+        h = _qfi_stack(psi[None], phi)[0]
+        padded = _qfi_stack(np.pad(psi, (0, pad))[None], phi)[0]
         assert abs(padded - h) <= 1e-12 * max(h, 1e-3)
 
 
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)
 @given(ragged_probes())
 def test_a_stack_with_one_angle_per_probe_equals_the_single_calls(stack):
-    # the probes are sorted by length, padded and chunked inside; each value
-    # comes back in its own place, as its own call would give it, and obeys
-    # the energy bound H <= 4 nbar
+    # the probes, padded to one length, form one stack; each value comes back
+    # in its own place, as its row alone gives it, and obeys the energy bound
+    # H <= 4 nbar. A row that takes the stack's route alone (real or complex
+    # arithmetic) gives the same bits; a real row in a complex stack agrees
+    # to roundoff
     probes, phis = stack
-    together = _qfi_stack(probes, phis)
-    alone = np.array([qfi_of_state(psi, phi) for psi, phi in zip(probes, phis)])
+    dim = max(psi.size for psi in probes)
+    amps = np.array([np.pad(psi, (0, dim - psi.size)) for psi in probes])
+    together = _qfi_stack(amps, phis)
+    alone = np.array([_qfi_stack(row[None], phi)[0] for row, phi in zip(amps, phis)])
     assert together.shape == (len(probes),)
+    same_route = amps.imag.any(axis=1) == amps.imag.any()
+    assert np.array_equal(together[same_route], alone[same_route])
     assert np.all(np.abs(together - alone) <= 1e-12 * np.maximum(alone, 1e-3))
-    nbar = np.array([np.arange(psi.size) @ np.abs(psi) ** 2 for psi in probes])
+    nbar = np.abs(amps) ** 2 @ np.arange(dim)
     assert np.all((together >= 0.0) & (together <= 4.0 * nbar * (1.0 + 1e-12) + 1e-15))
 
 
@@ -341,9 +347,9 @@ def test_the_phi_derivative_of_the_kraus_images_carries_the_energy(stack, real):
 
 
 def test_no_stacked_core_call_exceeds_the_element_budget(monkeypatch):
-    # every caller of the core: the Gaussian grid, polish and scan, a ragged
-    # stack (the sweep-phi shape), the qutrit grid and the superposition
-    # search with its checks
+    # every caller of the core: the Gaussian grid, polish and scan, one probe
+    # at many angles (the sweep-phi shape), the qutrit grid and the
+    # superposition search with its checks
     shapes = []
     frame = estimation._checked_frame
 
@@ -354,8 +360,9 @@ def test_no_stacked_core_call_exceeds_the_element_budget(monkeypatch):
     monkeypatch.setattr(estimation, "_checked_frame", spy)
     optimize.optimize_gaussian(0.4, 0.7)
     rng = np.random.default_rng(11)
-    ragged = [FockVector(rng.normal(size=d)) for d in (3, 40, 12, 90, 7, 25)] * 5
-    _qfi_stack(ragged, np.linspace(0.2, 1.4, len(ragged)))
+    for d in (3, 12, 40, 90):
+        psi = FockVector(rng.normal(size=d)).amplitudes
+        _qfi_stack(np.tile(psi, (30, 1)), np.linspace(0.2, 1.4, 30))
     optimize.optimize_qutrit(0.5, 0.6)
     optimize.optimize_superposition(3, 0.6, 0.5, starts=40)
     stacked = [(b, d) for b, d in shapes if b > 1]

@@ -157,6 +157,17 @@ class TestQFI:
         with pytest.raises(DomainError, match="must be finite"):
             estimation._qfi_grad_stack(amps, LossParameter(0.7))
 
+    def test_core_checks_the_angles_of_a_stack(self):
+        # one angle per probe: the count must match, and the first angle
+        # outside the domain is named as a lone angle would be
+        amps = np.eye(2)
+        with pytest.raises(DomainError, match="^3 loss angles given for 2 probes$"):
+            estimation._qfi_stack(amps, [0.5, 0.6, 0.7])
+        with pytest.raises(DomainError, match=r"^phi=1\.6 outside"):
+            estimation._qfi_stack(amps, np.array([0.5, 1.6]))
+        with pytest.raises(DomainError, match="^phi=nan outside"):
+            estimation._qfi_stack(amps, [math.nan, 0.5])
+
     @pytest.mark.parametrize("planted", [(math.nan, math.nan), (math.nan, 4.0)])
     def test_core_checks_fail_on_nan(self, monkeypatch, planted):
         # planted NaN QFI routes: a check written as "x > tol" would let them

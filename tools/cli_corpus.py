@@ -85,6 +85,8 @@ CORPUS = [
     ("optimize-gaussian-flat", "optimize --family gaussian --nbar 1 --phi 1.5697963"),
     # the grid end x = 1 beats the golden-section polish
     ("optimize-gaussian-grid-end", "optimize --family gaussian --nbar 1.3 --phi 0.26"),
+    # one angle of a sweep outside the loss domain
+    ("sweep-phi-bad-angle", "sweep-phi --families fock:n=1 --phi 0.0005:0.2:3"),
 ]
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
