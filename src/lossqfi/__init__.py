@@ -7,18 +7,17 @@ Monte Carlo that photon counting saturates the Cramer-Rao bound for Fock
 probes.
 """
 
-from .channel import (LossParameter, drho_dphi, evolve, kraus_operators,
-                      loss_reparametrize)
+from .channel import LossParameter, drho_dphi, evolve, kraus_operators
 from .degauss import (CoverageReport, RegionMap, coverage_check,
                       default_region_grids, photon_subtract, region_map,
                       truncate_levels)
 from .errors import CutoffOverflowError, DegenerateStateError, DomainError
 from .estimation import (EstimationReport, SLDOperator, classical_fisher,
-                         closed_form_qfi, cramer_rao, optimal_measurement,
-                         qfi, qfi_of_state, sld)
+                         closed_form_qfi, optimal_measurement, qfi,
+                         qfi_of_state, sld)
 from .fock import (DensityOperator, FockVector, Spectrum,
                    coherent_state, displaced_squeezed_vacuum, fidelity,
-                   fock_state, hermitian_eig, ladder_operators, mean_photon)
+                   fock_state, hermitian_eig, mean_photon)
 from .montecarlo import ExperimentReport, simulate_fock_estimation
 from .optimize import (OptimizationResult, best_cat, optimize_gaussian,
                        optimize_qutrit, optimize_superposition)
@@ -31,15 +30,15 @@ from .probes import (Cat, Coherent, Fock, Gaussian, PhotonSubtracted,
 __version__ = "0.1.0"
 
 __all__ = [
-    "LossParameter", "drho_dphi", "evolve", "kraus_operators", "loss_reparametrize",
+    "LossParameter", "drho_dphi", "evolve", "kraus_operators",
     "CoverageReport", "RegionMap", "coverage_check", "default_region_grids",
     "photon_subtract", "region_map", "truncate_levels",
     "CutoffOverflowError", "DegenerateStateError", "DomainError",
     "EstimationReport", "SLDOperator", "classical_fisher", "closed_form_qfi",
-    "cramer_rao", "optimal_measurement", "qfi", "qfi_of_state", "sld",
+    "optimal_measurement", "qfi", "qfi_of_state", "sld",
     "DensityOperator", "FockVector", "Spectrum",
     "coherent_state", "displaced_squeezed_vacuum", "fidelity", "fock_state",
-    "hermitian_eig", "ladder_operators", "mean_photon",
+    "hermitian_eig", "mean_photon",
     "ExperimentReport", "simulate_fock_estimation",
     "OptimizationResult", "best_cat", "optimize_gaussian",
     "optimize_qutrit", "optimize_superposition",

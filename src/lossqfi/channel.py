@@ -1,9 +1,9 @@
-"""Lossy bosonic channel: Kraus evolution, the analytic derivative of the
-output state with respect to the loss angle, and parametrization conversions.
+"""Lossy bosonic channel: Kraus evolution and the analytic derivative of the
+output state with respect to the loss angle.
 
 The channel is parametrized by an angle phi in (0, pi/2) tied to the decay
 exponent through tan(phi)^2 = exp(gamma t) - 1, so the transmissivity is
-cos(phi)^2 and z = tan(phi)^2.
+cos(phi)^2.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ import numpy as np
 from .errors import DomainError
 from .fock import DensityOperator, FockVector, _log_factorials, amplitudes_of, matrix_of
 
-__all__ = [
-    "LossParameter", "loss_reparametrize", "kraus_operators", "evolve", "drho_dphi",
-]
+__all__ = ["LossParameter", "kraus_operators", "evolve", "drho_dphi"]
 
 # the loss domain is [PHI_MIN, pi/2 - PHI_MIN]. The margin keeps tan(phi) and
 # the Kraus factors finite, and it keeps the QFI's roundoff inside the energy
@@ -33,8 +31,7 @@ _KRAUS_TERM_FLOOR = 1e-16
 
 @dataclass(frozen=True)
 class LossParameter:
-    """Loss angle phi with its equivalent views, on the closed interval
-    [PHI_MIN, pi/2 - PHI_MIN]."""
+    """Loss angle phi on the closed interval [PHI_MIN, pi/2 - PHI_MIN]."""
 
     phi: float
 
@@ -42,63 +39,13 @@ class LossParameter:
         if not (PHI_MIN <= self.phi <= np.pi / 2 - PHI_MIN):
             raise DomainError(f"phi={self.phi} outside [{PHI_MIN}, pi/2 - {PHI_MIN}]")
 
-    @property
-    def z(self) -> float:
-        return math.tan(self.phi) ** 2
-
-    @property
-    def gamma_t(self) -> float:
-        return math.log1p(self.z)
-
-    @property
-    def transmissivity(self) -> float:
-        return math.cos(self.phi) ** 2
-
     @classmethod
     def from_gamma_t(cls, gamma_t: float):
-        return cls(loss_reparametrize(gamma_t, "gamma_t", "phi"))
-
-    @classmethod
-    def from_z(cls, z: float):
-        return cls(loss_reparametrize(z, "z", "phi"))
-
-    @classmethod
-    def from_transmissivity(cls, transmissivity: float):
-        return cls(loss_reparametrize(transmissivity, "transmissivity", "phi"))
-
-
-def loss_reparametrize(value: float, source: str, target: str) -> float:
-    """Convert between the views {phi, gamma_t, z, transmissivity}.
-
-    All conversions go through phi; open-interval endpoints are rejected.
-    """
-    names = ("phi", "gamma_t", "z", "transmissivity")
-    if source not in names or target not in names:
-        raise DomainError(f"unknown parametrization; expected one of {names}")
-    if source == "phi":
-        if not (0.0 < value < np.pi / 2):
-            raise DomainError("phi must lie strictly inside (0, pi/2)")
-        phi = float(value)
-    elif source == "gamma_t":
-        if value <= 0.0:
+        """The angle with tan(phi)^2 = exp(gamma t) - 1, for gamma t > 0."""
+        if not gamma_t > 0.0:
             raise DomainError("gamma_t must be positive")
-        # tan(phi)^2 = e^g - 1 = 2 e^{g/2} sinh(g/2), free of cancellation at small g
-        phi = math.atan(math.sqrt(2.0 * math.exp(0.5 * value) * math.sinh(0.5 * value)))
-    elif source == "z":
-        if value <= 0.0:
-            raise DomainError("z must be positive")
-        phi = math.atan(math.sqrt(value))
-    else:
-        if not (0.0 < value < 1.0):
-            raise DomainError("transmissivity must lie strictly inside (0, 1)")
-        phi = math.acos(math.sqrt(value))
-    if target == "phi":
-        return phi
-    if target == "gamma_t":
-        return math.log1p(math.tan(phi) ** 2)
-    if target == "z":
-        return math.tan(phi) ** 2
-    return math.cos(phi) ** 2
+        # e^g - 1 = 2 e^{g/2} sinh(g/2), free of cancellation at small g
+        return cls(math.atan(math.sqrt(2.0 * math.exp(0.5 * gamma_t) * math.sinh(0.5 * gamma_t))))
 
 
 def _as_loss(phi) -> LossParameter:

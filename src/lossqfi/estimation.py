@@ -1,7 +1,7 @@
 """Symmetric logarithmic derivative and quantum Fisher information for
 loss estimation, with closed-form oracles, the optimal projective
 measurement, classical Fisher information of arbitrary measurements, and
-Cramer-Rao variance reporting.
+the QFI report with its Cramer-Rao variance floor 1/(runs H).
 
 The production pipeline is fully numeric: build the probe, propagate it,
 differentiate analytically, and assemble the SLD in the eigenbasis of the
@@ -24,7 +24,7 @@ from .probes import ProbeSpec, build_probe
 
 __all__ = [
     "SLDOperator", "EstimationReport", "sld", "qfi", "qfi_of_state",
-    "closed_form_qfi", "optimal_measurement", "classical_fisher", "cramer_rao",
+    "closed_form_qfi", "optimal_measurement", "classical_fisher",
 ]
 
 # eigenvalue pairs with rho_p + rho_q below this fraction of the trace are
@@ -248,7 +248,7 @@ def closed_form_qfi(family: str, params: dict, phi) -> float:
     nbar <= 1; coherent follows from the pure coherent output |alpha cos phi>.
     """
     loss = _as_loss(phi)
-    z = loss.z
+    z = math.tan(loss.phi) ** 2
     if family == "fock":
         n = params["n"]
         if n < 0 or n != int(n):
@@ -320,14 +320,3 @@ def classical_fisher(projectors, probe: ProbeSpec, phi) -> float:
             total += dp * dp / p
     return total
 
-
-def cramer_rao(h: float, runs: int, nbar: float):
-    """Cramer-Rao variance floor 1/(N H) and the energy floor 1/(4 nbar N)."""
-    if runs < 1:
-        raise DomainError("run count must be at least 1")
-    if nbar <= 0:
-        raise DomainError("mean photon number must be positive")
-    ultimate = 1.0 / (4.0 * nbar * runs)
-    if h <= 0:
-        return math.inf, ultimate
-    return 1.0 / (runs * h), ultimate

@@ -1,5 +1,5 @@
-"""Truncated single-mode Fock space: ladder operators, state constructors,
-Hermitian eigendecompositions, overlaps and photon statistics.
+"""Truncated single-mode Fock space: state constructors, Hermitian
+eigendecompositions, and the overlap and mean photon number of pure states.
 
 All states live in the number basis |0>, ..., |D-1>. Coherent and displaced
 squeezed states are built from closed forms of their amplitudes; without an
@@ -20,7 +20,7 @@ from .errors import CutoffOverflowError, DegenerateStateError, DomainError
 
 __all__ = [
     "FockVector", "DensityOperator", "Spectrum",
-    "ladder_operators", "hermitian_eig", "fock_state", "coherent_state",
+    "hermitian_eig", "fock_state", "coherent_state",
     "displaced_squeezed_vacuum", "fidelity", "mean_photon",
     "amplitudes_of", "matrix_of",
 ]
@@ -104,40 +104,26 @@ class Spectrum:
 
 
 def amplitudes_of(state) -> np.ndarray:
-    """Amplitude vector of a FockVector or a bare array-like."""
+    """Amplitude vector of a FockVector or a bare one-dimensional array-like.
+
+    A DensityOperator or a matrix raises DomainError: every caller takes
+    pure states only.
+    """
     if isinstance(state, FockVector):
         return state.amplitudes
-    arr = np.asarray(state, dtype=complex)
-    if arr.ndim != 1:
-        raise DomainError("expected a state vector")
-    return arr
+    if not isinstance(state, DensityOperator):
+        arr = np.asarray(state, dtype=complex)
+        if arr.ndim == 1:
+            return arr
+    raise DomainError("takes pure states only: pass a FockVector or a one-dimensional "
+                      "amplitude vector, not a density operator or a matrix")
 
 
 def matrix_of(state) -> np.ndarray:
-    """Density matrix of a FockVector, DensityOperator or bare array-like."""
-    if isinstance(state, FockVector):
-        return state.density().matrix
+    """Matrix of a DensityOperator or of a bare square array-like."""
     if isinstance(state, DensityOperator):
         return state.matrix
-    arr = np.asarray(state, dtype=complex)
-    if arr.ndim == 1:
-        return np.outer(arr, arr.conj())
-    return arr
-
-
-def ladder_operators(dim: int):
-    """Annihilation, creation and number operators on a dim-level space.
-
-    a has sqrt(m) at (m-1, m); the commutator [a, a+] equals the identity
-    everywhere except the top level, which the truncation necessarily breaks.
-    """
-    if dim < 1:
-        raise DomainError("dimension must be a positive integer")
-    a = np.zeros((dim, dim), dtype=complex)
-    m = np.arange(1, dim)
-    a[m - 1, m] = np.sqrt(m)
-    number = np.diag(np.arange(dim, dtype=float)).astype(complex)
-    return a, a.conj().T, number
+    return np.asarray(state, dtype=complex)
 
 
 def hermitian_eig(matrix) -> Spectrum:
@@ -283,40 +269,16 @@ def displaced_squeezed_vacuum(eta: complex, r: float, theta_rel: float = 0.0,
     return _cut(_gaussian_amplitudes(eta, r, theta_rel))
 
 
-def _match_dims(x, y):
-    """Zero-pad two vectors or square matrices to their common dimension."""
-    d = max(x.shape[-1], y.shape[-1])
-    return tuple(np.pad(np.asarray(a, dtype=complex), [(0, d - a.shape[-1])] * a.ndim)
-                 for a in (x, y))
-
-
 def fidelity(x, y) -> float:
-    """Overlap fidelity of two states; |<x|y>|^2 when both are pure.
-
-    Mixed inputs use the trace overlap Tr[rho_x rho_y], which coincides with
-    the squared amplitude overlap on pure states. States with different
-    cutoffs are zero-padded to a common dimension.
-    """
-    xv = x.amplitudes if isinstance(x, FockVector) else None
-    yv = y.amplitudes if isinstance(y, FockVector) else None
-    if xv is None and not isinstance(x, DensityOperator):
-        arr = np.asarray(x, dtype=complex)
-        xv = arr if arr.ndim == 1 else None
-    if yv is None and not isinstance(y, DensityOperator):
-        arr = np.asarray(y, dtype=complex)
-        yv = arr if arr.ndim == 1 else None
-    if xv is not None and yv is not None:
-        xp, yp = _match_dims(xv, yv)
-        return float(min(np.abs(np.vdot(xp, yp)) ** 2, 1.0))
-    xm, ym = _match_dims(matrix_of(x), matrix_of(y))
-    return float(min(np.trace(xm @ ym).real, 1.0))
+    """|<x|y>|^2 of two pure states; states with different cutoffs are
+    zero-padded to a common dimension."""
+    xv, yv = amplitudes_of(x), amplitudes_of(y)
+    d = max(xv.size, yv.size)
+    return float(min(np.abs(np.vdot(np.pad(xv, (0, d - xv.size)),
+                                    np.pad(yv, (0, d - yv.size)))) ** 2, 1.0))
 
 
 def mean_photon(state) -> float:
-    """Expectation of the number operator a+ a."""
-    if isinstance(state, DensityOperator) or (
-            not isinstance(state, FockVector) and np.asarray(state).ndim == 2):
-        m = matrix_of(state)
-        return float(np.sum(np.arange(m.shape[0]) * np.diag(m).real))
+    """Expectation of the number operator a+ a in a pure state."""
     amps = amplitudes_of(state)
     return float(np.sum(np.arange(amps.size) * np.abs(amps) ** 2))

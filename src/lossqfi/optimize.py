@@ -9,13 +9,12 @@ any number of points in lockstep; superpositions of the lowest Fock levels
 run a quasi-Newton search with the exact gradient of the QFI over an exact
 chart of the real energy slice from all starts at once. Both make one
 stacked evaluation per pass. The exact phase-space form of a Gaussian probe
-through loss ranks the squeeze grid and scans the relative phase; every
-reported H comes from the QFI core. Every candidate satisfies the
-normalization and energy constraints exactly, so no penalty terms are
-involved. Checks on the hot path keep the narrowed search honest: the
-superposition optimum must be a stationary point of the slice and a maximum
-in the phases, and no relative phase may beat theta_rel = 0 at the Gaussian
-optimum.
+through loss ranks the squeeze grid, and it shows that no relative squeeze
+phase beats theta_rel = 0; every reported H comes from the QFI core. Every
+candidate satisfies the normalization and energy constraints exactly, so no
+penalty terms are involved. Checks on the hot path keep the narrowed search
+honest: the superposition optimum must be a stationary point of the slice
+and a maximum in the phases.
 """
 
 from __future__ import annotations
@@ -59,8 +58,6 @@ GAUSS_GRID_POINTS = 41
 GAUSS_X_TOL = 1e-6
 # the closed form and the core agree to about 1e-7 relative
 GAUSS_TIE_TOL = 1e-6
-GAUSS_THETA_SCAN = 16
-GAUSS_THETA_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -473,18 +470,21 @@ def _gauss_value(nbar: float, x: float, loss: LossParameter) -> float:
     return -math.inf if state is None else qfi_of_state(state, loss)
 
 
-def _gauss_closed_form(nbar: float, xs, thetas, phi: float) -> np.ndarray:
-    """H of D(eta) S(r e^{i theta_rel})|0> with sinh(r)^2 = x nbar and
-    eta^2 = (1 - x) nbar, with no truncation, for ``xs`` and ``thetas``
-    broadcast together (Monras and Illuminati, PRA 83, 012315 (2011); Pinel et
-    al., PRA 88, 040102(R) (2013)). With vacuum covariance I, loss maps
-    sigma0 = R(theta/2) diag(e^{-2r}, e^{2r}) R(theta/2)^T and d0 = (2 eta, 0)
-    to sigma = cos^2(phi) sigma0 + sin^2(phi) I and d = cos(phi) d0, and
+def _gauss_closed_form(nbar: float, xs, phi: float) -> np.ndarray:
+    """H of D(eta) S(r)|0> with sinh(r)^2 = x nbar and eta^2 = (1 - x) nbar,
+    with no truncation, for every squeeze fraction of ``xs`` (Monras and
+    Illuminati, PRA 83, 012315 (2011); Pinel et al., PRA 88, 040102(R)
+    (2013)). With vacuum covariance I, loss maps sigma0 = diag(e^{-2r}, e^{2r})
+    and d0 = (2 eta, 0) to sigma = cos^2(phi) sigma0 + sin^2(phi) I and
+    d = cos(phi) d0, and
     H = Tr[(sigma^-1 sigma')^2] / (2 (1 + mu^2)) + 2 mu'^2 / (1 - mu^4)
     + d'^T sigma^-1 d' with mu = det(sigma)^(-1/2). sigma' = sin(2 phi) (I - sigma0)
     commutes with sigma, so the first term sums over the eigenvalues e^{-+2r} of
     sigma0; with det = det sigma = 1 + cos^2 sin^2 4 x nbar the second is
-    2 cos(2 phi)^2 4 x nbar / (det (det + 1)), 0 at x = 0.
+    2 cos(2 phi)^2 4 x nbar / (det (det + 1)), 0 at x = 0. A relative squeeze
+    phase theta_rel would rotate sigma0 by theta_rel / 2 and change only the
+    third term's sigma0_pp to cosh 2r + cos(theta_rel) sinh 2r; its coefficient
+    4 (1 - x) nbar sin^2 cos^2 / det is >= 0, so theta_rel = 0 is the maximum.
     """
     c2, s2 = math.cos(phi) ** 2, math.sin(phi) ** 2
     r = np.arcsinh(np.sqrt(xs * nbar))
@@ -494,7 +494,7 @@ def _gauss_closed_form(nbar: float, xs, thetas, phi: float) -> np.ndarray:
     covariance = 2.0 * c2 * s2 * det * ratios / (det + 1.0) \
         + 2.0 * math.cos(2.0 * phi) ** 2 * spread / (det * (det + 1.0))
     # sigma0_pp, the variance across the displacement
-    var_p = np.cosh(2.0 * r) + np.cos(thetas) * np.sinh(2.0 * r)
+    var_p = np.cosh(2.0 * r) + np.sinh(2.0 * r)
     return covariance + 4.0 * (1.0 - xs) * nbar * s2 * (c2 * var_p + s2) / det
 
 
@@ -506,10 +506,8 @@ def optimize_gaussian(nbar: float, phi) -> OptimizationResult:
     ranked by the exact phase-space form (:func:`_gauss_closed_form`), with
     ties within GAUSS_TIE_TOL ranked by the core, then golden-section polish on
     the core; the best grid point, kept where the polish does worse, has its
-    core H too. theta_rel -> -theta_rel is complex conjugation, so
-    theta_rel = 0 is stationary; a closed-form scan of theta_rel at the
-    optimum raises ArithmeticError if some phase beats it by more than
-    GAUSS_THETA_TOL max(1, H). States past the level guard drop out of the
+    core H too. No relative squeeze phase beats theta_rel = 0
+    (:func:`_gauss_closed_form`). States past the level guard drop out of the
     grid (one recurrence over it) and the polish, so it raises
     CutoffOverflowError only when no grid state fits in MAX_LEVELS levels.
     """
@@ -522,7 +520,7 @@ def optimize_gaussian(nbar: float, phi) -> OptimizationResult:
     if not fits.any():
         raise CutoffOverflowError(f"no displaced squeezed vacuum at nbar = {nbar:.6g} fits "
                                   f"under the level guard fock.MAX_LEVELS; lower the energy")
-    rank = np.where(fits, _gauss_closed_form(nbar, grid, 0.0, loss.phi), -np.inf)
+    rank = np.where(fits, _gauss_closed_form(nbar, grid, loss.phi), -np.inf)
     # the core ranks the grid points that tie with the best within its own error,
     # and gives the best one the value that the polish must beat
     near = np.flatnonzero(rank >= (1.0 - GAUSS_TIE_TOL) * rank.max())
@@ -532,12 +530,6 @@ def optimize_gaussian(nbar: float, phi) -> OptimizationResult:
     x, h = (float(v[0]) for v in _grid_then_polish(
         lambda rows, xs: np.array([_gauss_value(nbar, v, loss) for v in xs]),
         grid, values, GAUSS_X_TOL))
-    thetas = np.linspace(0.0, 2.0 * math.pi, GAUSS_THETA_SCAN, endpoint=False)
-    scan = _gauss_closed_form(nbar, x, thetas, loss.phi)
-    i = int(np.argmax(scan))
-    if scan[i] > scan[0] + GAUSS_THETA_TOL * max(1.0, scan[0]):
-        raise ArithmeticError(f"theta_rel = {thetas[i]:.6g} beats theta_rel = 0 at "
-                              f"squeeze fraction {x:.6g}: H = {scan[i]} against {scan[0]}")
     r = math.asinh(math.sqrt(x * nbar))
     eta = math.sqrt(max((1.0 - x) * nbar, 0.0))
     return OptimizationResult(

@@ -11,7 +11,8 @@ the real route and its element budget are each checked here.
 The core is checked against a dense reference, and for the two symmetries
 the fixed-energy optimizers rely on: the loss channel commutes with
 e^{i theta N} and its Kraus operators are real in the Fock basis, so
-H(e^{i theta N} psi) = H(psi) and H(psi*) = H(psi).
+H(e^{i theta N} psi) = H(psi) and H(psi*) = H(psi). Extra loss, which
+composes with the channel, must not add information about the transmissivity.
 
 The reference is written here from first principles: the dense Kraus
 operators K_n = sin(phi)^n / sqrt(n!) cos(phi)^N a^n, their analytic phi
@@ -446,3 +447,21 @@ def test_every_family_is_phase_covariant(spec, theta, phi):
     h = qfi_of_state(amps, phi)
     rotated = qfi_of_state(amps * np.exp(1j * theta * np.arange(amps.size)), phi)
     assert abs(rotated - h) <= 1e-9 * max(h, 1e-3)
+
+
+def test_extra_loss_cannot_add_information():
+    # losses compose as cos(phi) = cos(phi_1) cos(phi_2), so the transmissivity
+    # eta = cos(phi)^2 multiplies; data processing then bounds the Fisher
+    # information of eta, F = H / (4 eta (1 - eta)), by
+    # eta_2^2 F(psi; eta_1 eta_2) <= F(psi; eta_1)
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        dim = int(rng.integers(2, 8))
+        psi = FockVector(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        eta_1, eta_2 = np.cos(rng.uniform(0.05, 1.5, 2)) ** 2
+
+        def info(eta):
+            return qfi_of_state(psi, math.acos(math.sqrt(eta))) / (4.0 * eta * (1.0 - eta))
+
+        assert eta_2 ** 2 * info(eta_1 * eta_2) <= info(eta_1) * (1.0 + 1e-9), (
+            psi.amplitudes, eta_1, eta_2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lossqfi import (DomainError, Fock, FockVector, LossParameter, Qubit, Qutrit,
-                     classical_fisher, closed_form_qfi, coherent_state, cramer_rao,
+                     classical_fisher, closed_form_qfi, coherent_state,
                      drho_dphi, evolve, fock_state, optimal_measurement, qfi,
                      qfi_of_state, sld)
 
@@ -12,6 +12,11 @@ from lossqfi import estimation
 from lossqfi.cli import main
 
 PHI_GRID = np.linspace(1e-3, math.pi / 2 - 1e-3, 25)
+
+
+def cramer_rao(h: float, runs: int, nbar: float):
+    """Cramer-Rao variance floor 1/(N H) and the energy floor 1/(4 nbar N)."""
+    return (1.0 / (runs * h) if h > 0 else math.inf), 1.0 / (4.0 * nbar * runs)
 
 
 def fock_sld_reference(n, phi):
@@ -186,7 +191,9 @@ class TestQFI:
     def test_report_fields(self):
         report = qfi(Fock(2), 0.6, runs=100)
         assert report.ultimate_bound == pytest.approx(8.0)
-        assert report.crlb_variance == pytest.approx(1.0 / (100 * 8.0), rel=1e-9)
+        crlb, ultimate = cramer_rao(report.qfi, report.runs, report.nbar)
+        assert report.crlb_variance == pytest.approx(crlb, rel=1e-15)
+        assert report.crlb_variance == pytest.approx(ultimate, rel=1e-9)
         assert report.method == "numeric"
 
     def test_invalid_runs(self):

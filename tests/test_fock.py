@@ -6,9 +6,17 @@ from scipy.linalg import expm
 
 from lossqfi import (CutoffOverflowError, DomainError, FockVector, Gaussian,
                      build_probe, coherent_state, displaced_squeezed_vacuum,
-                     fidelity, fock, fock_state, hermitian_eig, ladder_operators,
-                     mean_photon)
+                     fidelity, fock, fock_state, hermitian_eig, mean_photon)
 from lossqfi.errors import DegenerateStateError
+
+
+def ladder_operators(dim: int):
+    """Annihilation, creation and number operators on a dim-level space: a has
+    sqrt(m) at (m-1, m), and the truncation breaks [a, a+] = 1 at the top level."""
+    if dim < 1:
+        raise DomainError("dimension must be a positive integer")
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
+    return a, a.conj().T, np.diag(np.arange(dim, dtype=complex))
 
 
 class TestLadderOperators:
@@ -149,9 +157,7 @@ class TestDisplacedSqueezedVacuum:
         # S(xi) = exp[(xi* a^2 - xi a+^2)/2] then D(eta) = exp[eta a+ - eta* a],
         # on 40 levels more than the chosen cutoff
         state = displaced_squeezed_vacuum(eta, r, theta)
-        big = state.dim + 40
-        a = np.diag(np.sqrt(np.arange(1.0, big)), 1).astype(complex)
-        ad = a.conj().T
+        a, ad, _ = ladder_operators(state.dim + 40)
         xi = r * np.exp(1j * theta)
         squeeze = expm(0.5 * (np.conj(xi) * a @ a - xi * ad @ ad))
         displace = expm(eta * ad - np.conj(eta) * a)
@@ -218,9 +224,18 @@ class TestFidelity:
         assert fidelity(fock_state(0, 1), fock_state(3, 5)) == pytest.approx(0.0, abs=1e-15)
 
     def test_density_operator_route_matches_pure(self):
+        # the trace overlap Tr[rho_x rho_y] of two pure states is |<x|y>|^2
         x = coherent_state(0.7, dim=12)
         y = coherent_state(-0.4, dim=12)
-        assert fidelity(x.density(), y.density()) == pytest.approx(fidelity(x, y), abs=1e-12)
+        overlap = np.trace(x.density().matrix @ y.density().matrix).real
+        assert fidelity(x, y) == pytest.approx(overlap, abs=1e-12)
+
+    def test_density_input(self):
+        x = coherent_state(0.7, dim=12)
+        for mixed in (x.density(), x.density().matrix):
+            for args in ((mixed, x), (x, mixed)):
+                with pytest.raises(DomainError, match="takes pure states only"):
+                    fidelity(*args)
 
 
 class TestMeanPhoton:
@@ -238,7 +253,9 @@ class TestMeanPhoton:
 
     def test_density_input(self):
         state = fock_state(2)
-        assert mean_photon(state.density()) == pytest.approx(2.0)
+        for mixed in (state.density(), state.density().matrix):
+            with pytest.raises(DomainError, match="takes pure states only"):
+                mean_photon(mixed)
 
 
 class TestStateTypes:

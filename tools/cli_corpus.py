@@ -87,6 +87,14 @@ CORPUS = [
     ("optimize-gaussian-grid-end", "optimize --family gaussian --nbar 1.3 --phi 0.26"),
     # one angle of a sweep outside the loss domain
     ("sweep-phi-bad-angle", "sweep-phi --families fock:n=1 --phi 0.0005:0.2:3"),
+    # three commands that exit 0 with wrong digits: the core's error at the
+    # domain edge (exact 1.999994), the Fock cutoff (exact 4 sin(0.7)^2 =
+    # 1.66006571420 at nbar 1), and a real-slice optimum that a complex state
+    # beats (4.99568801746)
+    ("optimize-gaussian-phi-edge", "optimize --family gaussian --nbar 0.5 --phi 0.001"),
+    ("qfi-coherent-cutoff", "qfi coherent:alpha=1 --phi 0.7"),
+    ("optimize-superposition-complex-ridge",
+     "optimize --family superposition --kmax 3 --nbar 1.4 --phi 0.7357142857142858"),
 ]
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
