@@ -7,7 +7,7 @@ Monte Carlo that photon counting saturates the Cramer-Rao bound for Fock
 probes.
 """
 
-from .channel import LossParameter, drho_dphi, evolve, kraus_operators
+from .channel import LossParameter, drho_dphi, evolve
 from .degauss import (CoverageReport, RegionMap, coverage_check,
                       default_region_grids, photon_subtract, region_map,
                       truncate_levels)
@@ -23,14 +23,13 @@ from .optimize import (OptimizationResult, best_cat, optimize_gaussian,
                        optimize_qutrit, optimize_superposition)
 from .probes import (Cat, Coherent, Fock, Gaussian, PhotonSubtracted,
                      ProbeSpec, Qubit, Qutrit, Superposition,
-                     TruncatedSubtracted, build_probe, nominal_nbar,
-                     parse_probe, probe_label, qutrit_coords,
-                     truncated_subtracted_coeffs)
+                     TruncatedSubtracted, build_probe, parse_probe,
+                     probe_label, qutrit_coords)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "LossParameter", "drho_dphi", "evolve", "kraus_operators",
+    "LossParameter", "drho_dphi", "evolve",
     "CoverageReport", "RegionMap", "coverage_check", "default_region_grids",
     "photon_subtract", "region_map", "truncate_levels",
     "CutoffOverflowError", "DegenerateStateError", "DomainError",
@@ -44,7 +43,6 @@ __all__ = [
     "optimize_qutrit", "optimize_superposition",
     "Cat", "Coherent", "Fock", "Gaussian", "PhotonSubtracted", "ProbeSpec",
     "Qubit", "Qutrit", "Superposition", "TruncatedSubtracted", "build_probe",
-    "nominal_nbar", "parse_probe", "probe_label", "qutrit_coords",
-    "truncated_subtracted_coeffs",
+    "parse_probe", "probe_label", "qutrit_coords",
     "__version__",
 ]

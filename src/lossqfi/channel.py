@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DomainError
 from .fock import DensityOperator, FockVector, _log_factorials, amplitudes_of, matrix_of
 
-__all__ = ["LossParameter", "kraus_operators", "evolve", "drho_dphi"]
+__all__ = ["LossParameter", "evolve", "drho_dphi"]
 
 # the loss domain is [PHI_MIN, pi/2 - PHI_MIN]. The margin keeps tan(phi) and
 # the Kraus factors finite, and it keeps the QFI's roundoff inside the energy
@@ -52,42 +52,20 @@ def _as_loss(phi) -> LossParameter:
     return phi if isinstance(phi, LossParameter) else LossParameter(float(phi))
 
 
-def kraus_operators(phi, dim: int) -> list[np.ndarray]:
-    """The dim Kraus operators K_n = sin(phi)^n / sqrt(n!) cos(phi)^N a^n.
-
-    On a dim-level space a^n vanishes for n >= dim, so this finite family is
-    exactly trace preserving: sum_n K_n+ K_n = 1.
-    """
-    if dim < 1:
-        raise DomainError("dimension must be a positive integer")
-    p = _as_loss(phi).phi
-    s, c = math.sin(p), math.cos(p)
-    levels = np.arange(dim)
-    lf = _log_factorials(dim)
-    ops = []
-    for n in range(dim):
-        k = np.zeros((dim, dim), dtype=complex)
-        m = levels[: dim - n]
-        # <m| K_n |m+n> = s^n/sqrt(n!) c^m sqrt((m+n)!/m!)
-        logmag = (n * math.log(s) if n else 0.0) \
-            + 0.5 * (lf[n:] - lf[: dim - n] - lf[n]) \
-            + m * math.log(c)
-        k[m, m + n] = np.exp(logmag)
-        ops.append(k)
-    return ops
-
-
 def _kraus_images(amps: np.ndarray, phi) -> np.ndarray:
     """Kraus images of a (..., D) stack of pure states, one per column.
 
-    Column n holds K_n psi in closed form, <m|K_n|psi> =
+    Column n holds K_n psi, for the Kraus operators K_n = sin(phi)^n /
+    sqrt(n!) cos(phi)^N a^n, in closed form, <m|K_n|psi> =
     cos(phi)^m sin(phi)^n sqrt(C(m+n, n)) psi_{m+n}, gathered in one pass
     with the weights taken in log space so that no factor overflows.
     ``phi`` is one loss angle, or one per stack element. A probe's terms
     stop once its input population at or above level n drops below the
     floor: that mass bounds everything the remaining terms could contribute
     (individual term norms are not monotone in n, so testing only the
-    current term would be unsound). Real probes keep real images.
+    current term would be unsound). Real probes keep real images. The
+    result is C-contiguous whatever the stack, so a stacked probe takes the
+    same matrix products, bit for bit, as the probe alone.
     """
     d = amps.shape[-1]
     m = np.arange(d)
@@ -105,7 +83,8 @@ def _kraus_images(amps: np.ndarray, phi) -> np.ndarray:
     weight = np.exp(row[..., :, None] + col[..., None, :] + top)
     if not keep.all():
         weight = np.where(keep[..., None, :], weight, 0.0)
-    return weight * amps[..., level]
+    # np.take keeps the gather in C order, where amps[..., level] would not
+    return weight * np.take(amps, level, axis=-1)
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:

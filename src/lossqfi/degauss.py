@@ -16,6 +16,7 @@ import numpy as np
 from .channel import _as_loss
 from .errors import DegenerateStateError, DomainError
 from .fock import FockVector, amplitudes_of
+from .optimize import _qutrit_optima
 
 __all__ = [
     "RegionMap", "CoveragePoint", "CoverageReport",
@@ -163,8 +164,6 @@ def coverage_check(phi_list, nbar_grid, region: RegionMap) -> CoverageReport:
     extreme-loss / low-energy corner are flagged as the permitted exception
     (there, practically all probes perform at the same near-ultimate level).
     """
-    from .optimize import _qutrit_optima
-
     if region.points.size == 0:
         raise DomainError("region map is empty")
     pts_n = region.points["nbar"]

@@ -2,10 +2,11 @@
 eigendecompositions, and the overlap and mean photon number of pure states.
 
 All states live in the number basis |0>, ..., |D-1>. Coherent and displaced
-squeezed states are built from closed forms of their amplitudes; without an
-explicit dimension, the cutoff is measured: it is the smallest one whose
-neglected population, measured against the exact unit norm, stays below
-TAIL_TOL, and a state that needs more than MAX_LEVELS levels is refused.
+squeezed states are built by Yuen's exact recurrence for the amplitudes of
+D(eta) S(xi)|0>, a coherent state being its xi = 0 member. Their cutoff is
+measured: it is the smallest one whose neglected population, measured
+against the exact unit norm, stays below TAIL_TOL, and a state that needs
+more than MAX_LEVELS levels is refused.
 """
 
 from __future__ import annotations
@@ -61,9 +62,6 @@ class FockVector:
     @property
     def dim(self) -> int:
         return self.amplitudes.size
-
-    def density(self) -> "DensityOperator":
-        return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True)
@@ -147,14 +145,11 @@ def hermitian_eig(matrix) -> Spectrum:
     return Spectrum(vals, vecs)
 
 
-def fock_state(n: int, dim: int | None = None) -> FockVector:
-    """|n> in a space of dimension dim (defaults to n+1)."""
+def fock_state(n: int) -> FockVector:
+    """|n> on the n+1 levels 0..n."""
     if n < 0:
         raise DomainError("photon number must be non-negative")
-    d = n + 1 if dim is None else dim
-    if d <= n:
-        raise DomainError("dimension too small to hold |n>")
-    amps = np.zeros(d, dtype=complex)
+    amps = np.zeros(n + 1, dtype=complex)
     amps[n] = 1.0
     return FockVector(amps)
 
@@ -174,24 +169,6 @@ def _log_factorials(count: int) -> np.ndarray:
         factorial *= max(m, 1)
         table[m] = math.log(factorial)
     return _freeze(table)
-
-
-def _coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
-    """Closed-form coherent amplitudes exp(-|a|^2/2) a^m / sqrt(m!)."""
-    m = np.arange(dim)
-    if alpha == 0:
-        amps = np.zeros(dim, dtype=complex)
-        amps[0] = 1.0
-        return amps
-    logmag = m * np.log(np.abs(alpha)) - 0.5 * _log_factorials(dim) - 0.5 * np.abs(alpha) ** 2
-    return np.exp(logmag) * np.exp(1j * np.angle(alpha) * m)
-
-
-def coherent_state(alpha: complex, dim: int | None = None) -> FockVector:
-    """Coherent state |alpha> using the closed-form number-basis expansion."""
-    if dim is not None:
-        return FockVector(_coherent_amplitudes(alpha, dim))
-    return _cut(_coherent_amplitudes(alpha, MAX_LEVELS))
 
 
 def _cut(amps: np.ndarray) -> FockVector:
@@ -253,20 +230,20 @@ def _subtracted_amplitudes(eta: float, r: float, levels: int = MAX_LEVELS) -> np
     return np.sqrt(np.arange(1, levels + 1)) * _gaussian_amplitudes(eta, r, 0.0, levels + 1)[1:]
 
 
-def displaced_squeezed_vacuum(eta: complex, r: float, theta_rel: float = 0.0,
-                              dim: int | None = None) -> FockVector:
+def displaced_squeezed_vacuum(eta: complex, r: float, theta_rel: float = 0.0) -> FockVector:
     """Displaced squeezed vacuum D(eta) S(r e^{i theta_rel}) |0>.
 
-    The mean photon number is |eta|^2 + sinh(r)^2. With an explicit ``dim``
-    the state is truncated at that dimension; otherwise the cutoff is
-    measured (:func:`_cut`), and a state that needs more than MAX_LEVELS
-    levels raises CutoffOverflowError.
+    The mean photon number is |eta|^2 + sinh(r)^2. The cutoff is measured
+    (:func:`_cut`), and a state that needs more than MAX_LEVELS levels
+    raises CutoffOverflowError.
     """
-    if dim is not None:
-        if dim < 1:
-            raise DomainError("dimension must be a positive integer")
-        return FockVector(_gaussian_amplitudes(eta, r, theta_rel, dim))
     return _cut(_gaussian_amplitudes(eta, r, theta_rel))
+
+
+def coherent_state(alpha: complex) -> FockVector:
+    """Coherent state |alpha> = D(alpha)|0>, the unsqueezed member of
+    :func:`displaced_squeezed_vacuum`'s family, with its cutoff measured."""
+    return _cut(_gaussian_amplitudes(alpha, 0.0, 0.0))
 
 
 def fidelity(x, y) -> float:

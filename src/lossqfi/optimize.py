@@ -130,11 +130,10 @@ def _qutrit_optima(nbars, phis):
     vals = np.empty((nbars.size, grid.size))
     for phi in dict.fromkeys(angles):
         at = np.flatnonzero(angles == phi)
-        # one energy per call keeps the complex temporaries to 721 states
-        amps = np.concatenate([_qutrit_amplitudes(nbar, grid).real for nbar in nbars[at]])
+        amps = _qutrit_amplitudes(nbars[at, None], grid).reshape(-1, 3)
         vals[at] = _qfi_stack(amps, phi).reshape(at.size, -1)
     return _grid_then_polish(lambda rows, beta: _qfi_stack(
-        _qutrit_amplitudes(nbars[rows], beta).real, angles[rows]), grid, vals, QUTRIT_BETA_TOL)
+        _qutrit_amplitudes(nbars[rows], beta), angles[rows]), grid, vals, QUTRIT_BETA_TOL)
 
 
 def optimize_qutrit(nbar: float, phi) -> OptimizationResult:
@@ -254,7 +253,7 @@ def _warm_starts(kmax: int, nbar: float, loss) -> np.ndarray:
     if kmax >= 2 and nbar <= 1.0:
         beta = optimize_qutrit(nbar, loss).best_params["beta"]
         rows.append(np.zeros(kmax + 1))
-        rows[-1][:3] = _qutrit_amplitudes(nbar, beta).real
+        rows[-1][:3] = _qutrit_amplitudes(nbar, beta)
     levels = np.arange(max(2, math.floor(nbar) + 1), kmax + 1)
     sparse = np.zeros((levels.size, kmax + 1))
     sparse[:, 0] = np.sqrt(1.0 - nbar / levels)

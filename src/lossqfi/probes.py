@@ -6,8 +6,8 @@ keyed by the tag of its canonical text form (``fock:n=2``,
 ``qutrit:nbar=0.5,beta=0.3``, ``subtracted:eta=1.0,r=0.4``,
 ``cat:alpha=1.2,sign=+``). The entry holds everything else the family is:
 the keys its text form takes, the parse from ``k=v`` text, the build of the
-state, the label, the nominal nbar and, for the families ``sweep-energy``
-takes, the energy constructor.
+state, the label and, for the families ``sweep-energy`` takes, the energy
+constructor.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import Union
 
 import numpy as np
 
-from .degauss import _subtracted_levels
 from .errors import DegenerateStateError, DomainError
 from .fock import (FockVector, _cut, _subtracted_amplitudes, amplitudes_of, coherent_state,
                    displaced_squeezed_vacuum, fock_state)
@@ -28,8 +27,7 @@ from .fock import (FockVector, _cut, _subtracted_amplitudes, amplitudes_of, cohe
 __all__ = [
     "Fock", "Qubit", "Qutrit", "Superposition", "Coherent", "Cat",
     "Gaussian", "PhotonSubtracted", "TruncatedSubtracted", "ProbeSpec",
-    "build_probe", "truncated_subtracted_coeffs", "qutrit_coords",
-    "parse_probe", "probe_label", "nominal_nbar",
+    "build_probe", "qutrit_coords", "parse_probe", "probe_label",
     "cat_mean_photon", "cat_alpha_for_energy",
 ]
 
@@ -158,21 +156,6 @@ ProbeSpec = Union[Fock, Qubit, Qutrit, Superposition, Coherent, Cat,
                   Gaussian, PhotonSubtracted, TruncatedSubtracted]
 
 
-def truncated_subtracted_coeffs(eta: float, r: float) -> np.ndarray:
-    """Three-level coefficients of the truncated photon-subtracted state.
-
-    k0 = eta (tanh r + 1), k1 = k0^2 - tanh r, k2 = k0 (k0^2 - 3 tanh r)/sqrt(2),
-    returned normalized. Both parameters real; eta >= 0.
-    """
-    if eta < 0:
-        raise DomainError("displacement modulus must be non-negative")
-    k = _subtracted_levels(eta, r)
-    norm = np.linalg.norm(k)
-    if norm < 1e-15:
-        raise DegenerateStateError("all truncation coefficients vanish at this (eta, r)")
-    return k / norm
-
-
 def qutrit_coords(state) -> tuple[float, float]:
     """Energy and weight angle (nbar, beta) of a state living on levels 0..2.
 
@@ -227,15 +210,16 @@ def cat_alpha_for_energy(nbar: float, sign: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def _qutrit_amplitudes(nbar: float, beta, mu: float = np.pi, nu: float = np.pi) -> np.ndarray:
-    """Closed-form qutrit amplitudes; ``beta`` may be an array, the level
-    index is then the last axis."""
+def _qutrit_amplitudes(nbar, beta) -> np.ndarray:
+    """Closed-form qutrit amplitudes at the optimal phases mu = nu = pi,
+    where they are real; ``nbar`` and ``beta`` may be arrays, broadcast
+    together, and the level index is then the last axis."""
     beta = np.asarray(beta, dtype=float)
     alpha = np.arcsin(np.sqrt(np.minimum(2.0 * nbar / (np.cos(2.0 * beta) + 3.0), 1.0)))
     return np.stack([
-        np.cos(alpha) + 0j,
-        np.exp(1j * mu) * np.sin(alpha) * np.sin(beta),
-        np.exp(1j * nu) * np.sin(alpha) * np.cos(beta),
+        np.cos(alpha),
+        -np.sin(alpha) * np.sin(beta),
+        -np.sin(alpha) * np.cos(beta),
     ], axis=-1)
 
 
@@ -322,58 +306,53 @@ def _real_or_complex(value: complex) -> str:
 
 
 # One probe family: its spec type, the keys its text form takes, its parse
-# from those k=v pairs, its build, its canonical label, its nominal nbar (None
-# where no closed form is declared) and, for the families sweep-energy takes,
-# its constructor at a given nbar. _FAMILIES keys them by text tag.
-_Family = namedtuple("_Family", "spec keys parse build label nbar from_nbar",
-                     defaults=(lambda spec: None, None))
+# from those k=v pairs, its build, its canonical label and, for the families
+# sweep-energy takes, its constructor at a given nbar. _FAMILIES keys them by
+# text tag.
+_Family = namedtuple("_Family", "spec keys parse build label from_nbar", defaults=(None,))
 _FAMILIES = {
     "fock": _Family(
         Fock, ("n",), parse=lambda kv: Fock(int(kv["n"])),
         build=lambda s: fock_state(s.n),
-        label=lambda s: f"fock:n={s.n}",
-        nbar=lambda s: float(s.n), from_nbar=Fock.from_nbar),
+        label=lambda s: f"fock:n={s.n}", from_nbar=Fock.from_nbar),
     "qubit": _Family(
         Qubit, ("theta", "nbar", "varphi"), parse=_parse_qubit,
         build=lambda s: FockVector(np.array(
             [math.cos(s.theta), np.exp(1j * s.varphi) * math.sin(s.theta)])),
         label=lambda s: f"qubit:theta={s.theta:.12g},varphi={s.varphi:.12g}",
-        nbar=lambda s: math.sin(s.theta) ** 2, from_nbar=Qubit.from_nbar),
+        from_nbar=Qubit.from_nbar),
     "qutrit": _Family(
         Qutrit, ("nbar", "beta", "mu", "nu"),
         parse=lambda kv: Qutrit(_fnum(kv["nbar"]), _fnum(kv["beta"]),
                                 _fnum(kv.get("mu", "pi")), _fnum(kv.get("nu", "pi"))),
-        build=lambda s: FockVector(_qutrit_amplitudes(s.nbar, s.beta, s.mu, s.nu)),
+        # the amplitudes at mu = nu = pi, turned to the spec's phases
+        build=lambda s: FockVector(_qutrit_amplitudes(s.nbar, s.beta)
+                                   * [1.0, -np.exp(1j * s.mu), -np.exp(1j * s.nu)]),
         label=lambda s: (f"qutrit:nbar={s.nbar:.12g},beta={s.beta:.12g},"
-                         f"mu={s.mu:.12g},nu={s.nu:.12g}"),
-        nbar=lambda s: s.nbar),
+                         f"mu={s.mu:.12g},nu={s.nu:.12g}")),
     "superposition": _Family(
         Superposition, ("c",),
         parse=lambda kv: Superposition([complex(c) for c in kv["c"].split("/")]),
         build=lambda s: FockVector(np.array(s.coefficients, dtype=complex)),
         label=lambda s: "superposition:c=" + "/".join(
-            f"{c.real:.12g}{c.imag:+.12g}j" for c in s.coefficients),
-        nbar=lambda s: float(sum(m * abs(c) ** 2 for m, c in enumerate(s.coefficients)))),
+            f"{c.real:.12g}{c.imag:+.12g}j" for c in s.coefficients)),
     "coherent": _Family(
         Coherent, ("alpha",), parse=lambda kv: Coherent(complex(kv["alpha"])),
         build=lambda s: coherent_state(s.alpha),
         label=lambda s: f"coherent:alpha={_real_or_complex(s.alpha)}",
-        nbar=lambda s: abs(s.alpha) ** 2,
         from_nbar=_coherent_from_nbar),
     "cat": _Family(
         Cat, ("alpha", "sign"),
         parse=lambda kv: Cat(_fnum(kv["alpha"]), _CAT_SIGNS[kv.get("sign", "+")]),
         build=lambda s: _cat_state(s.alpha, s.sign),
-        label=lambda s: f"cat:alpha={s.alpha:.12g},sign={'+' if s.sign > 0 else '-'}",
-        nbar=lambda s: cat_mean_photon(s.alpha, s.sign)),
+        label=lambda s: f"cat:alpha={s.alpha:.12g},sign={'+' if s.sign > 0 else '-'}"),
     "gaussian": _Family(
         Gaussian, ("eta", "r", "theta"),
         parse=lambda kv: Gaussian(complex(kv.get("eta", "0")), _fnum(kv.get("r", "0")),
                                   _fnum(kv.get("theta", "0"))),
         build=lambda s: displaced_squeezed_vacuum(s.eta, s.r, s.theta_rel),
         label=lambda s: (f"gaussian:eta={_real_or_complex(s.eta)},r={s.r:.12g},"
-                         f"theta={s.theta_rel:.12g}"),
-        nbar=lambda s: abs(s.eta) ** 2 + math.sinh(s.r) ** 2),
+                         f"theta={s.theta_rel:.12g}")),
     "subtracted": _Family(
         PhotonSubtracted, ("eta", "r"),
         parse=lambda kv: PhotonSubtracted(_fnum(kv["eta"]), _fnum(kv["r"])),
@@ -407,11 +386,6 @@ def build_probe(spec: ProbeSpec) -> FockVector:
         if not all(map(cmath.isfinite, value if isinstance(value, tuple) else (value,))):
             raise DomainError(f"{probe_label(spec)}: parameter {field.name} must be finite")
     return family.build(spec)
-
-
-def nominal_nbar(spec: ProbeSpec) -> float | None:
-    """Declared mean photon number, when the family fixes one in closed form."""
-    return _family(spec).nbar(spec)
 
 
 def parse_probe(text: str) -> ProbeSpec:

@@ -7,10 +7,10 @@ written in this module, and pins the measured floors 0.8476 (3 levels) and
 > 0.92 and > 0.99 wherever the subtracted state holds at most one photon,
 do not hold: the closed form gives 3-level fidelity 0.8476 at
 (eta, r) = (0.737, 0.474), and one floor or the other fails at 10 of the 56
-kept grid points, for r between -0.16 and 0.47. The printed k_j table of
-``truncated_subtracted_coeffs`` is no second check of these floors: it fixes
-only the direction of the 3-level vector, not the weight the truncation
-discards.
+kept grid points, for r between -0.16 and 0.47. The printed k_j table of the
+three kept levels (``degauss._subtracted_levels``) is no second check of
+these floors: it fixes only the direction of the 3-level vector, not the
+weight the truncation discards.
 """
 
 import math

@@ -1,8 +1,8 @@
 """Property tests of the stacked QFI core, its gradient route, the
 real-slice chart and the search that runs on it, and of the constructions
-that use the log-factorial table: the Kraus operators, the closed-form
-Kraus images (and their phi derivative, whose squared norm is the energy),
-the mixed-state channel and the coherent amplitudes.
+that use the log-factorial table: the closed-form Kraus images (and their
+phi derivative, whose squared norm is the energy) and the mixed-state
+channel, with the coherent amplitudes and their measured cutoff.
 
 The stacked entry takes a (B, D) stack at one loss angle or one per probe,
 and runs real probes in real arithmetic; zero-padding, per-element angles,
@@ -26,6 +26,7 @@ evaluation sits between them), so a 1e-12 comparison there would test the
 conditioning, not the stacking.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -40,10 +41,11 @@ from lossqfi import (Cat, Coherent, Fock, Gaussian, LossParameter,  # noqa: E402
                      TruncatedSubtracted, build_probe, classical_fisher,
                      optimal_measurement, parse_probe, qfi_of_state, sld)
 from lossqfi import estimation, optimize, probes  # noqa: E402
-from lossqfi.channel import _kraus_images, evolve, kraus_operators  # noqa: E402
+from lossqfi.channel import _kraus_images, evolve  # noqa: E402
 from lossqfi.estimation import (RANK_EPS, STACK_BUDGET, _qfi_grad_stack,  # noqa: E402
                                 _qfi_stack)
-from lossqfi.fock import FockVector, _coherent_amplitudes  # noqa: E402
+from lossqfi.fock import (MAX_LEVELS, TAIL_TOL, DensityOperator, FockVector,  # noqa: E402
+                          coherent_state)
 from lossqfi.optimize import _slice_coords, _slice_point  # noqa: E402
 
 
@@ -67,6 +69,32 @@ def reference_state(psi: np.ndarray, phi: float):
         drho += np.outer(dout, out.conj()) + np.outer(out, dout.conj())
         a_n = a @ a_n
     return rho, drho
+
+
+def reference_kraus(phi: float, dim: int) -> list:
+    """The dim Kraus operators K_n = sin(phi)^n / sqrt(n!) cos(phi)^N a^n, from
+    <m|K_n|m+n> = sin(phi)^n cos(phi)^m sqrt((m+n)! / (m! n!)) with the
+    factorials taken by math.lgamma in log space, so none overflows."""
+    log_fact = np.array([math.lgamma(j + 1.0) for j in range(dim)])
+    ops = []
+    for n in range(dim):
+        m = np.arange(dim - n)
+        k = np.zeros((dim, dim))
+        k[m, m + n] = np.exp(n * math.log(math.sin(phi)) + m * math.log(math.cos(phi))
+                             + 0.5 * (log_fact[m + n] - log_fact[m] - log_fact[n]))
+        ops.append(k)
+    return ops
+
+
+def coherent_reference(alpha: complex, levels: int) -> np.ndarray:
+    """exp(-|alpha|^2/2) alpha^m / sqrt(m!) for m < levels, the power and the
+    factorial taken in log space (math.lgamma) so that neither overflows."""
+    m = np.arange(levels)
+    if alpha == 0:
+        return (m == 0).astype(complex)
+    log_fact = np.array([math.lgamma(j + 1.0) for j in range(levels)])
+    return np.exp(m * math.log(abs(alpha)) - 0.5 * log_fact - 0.5 * abs(alpha) ** 2
+                  + 1j * cmath.phase(alpha) * m)
 
 
 def reference_qfi(psi: np.ndarray, phi: float) -> float:
@@ -201,19 +229,20 @@ def _relative(x, reference):
 
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)
 @given(st.integers(1, 200), st.integers(0, 2 ** 32 - 1),
-       st.floats(0.01, math.pi / 2 - 0.01), st.complex_numbers(max_magnitude=4.0))
+       st.floats(0.01, math.pi / 2 - 0.01), st.complex_numbers(max_magnitude=25.0))
 def test_log_factorial_sites_match_their_references(dim, seed, phi, alpha):
-    # the channel on pure and on mixed states, the Kraus operators and the
-    # coherent amplitudes each read log(m!) from one table; each is checked
-    # against a route that needs no factorial
+    # the channel on pure and on mixed states reads log(m!) from one table;
+    # it is checked against Kraus operators whose factorials come from
+    # math.lgamma
     rng = np.random.default_rng(seed)
     psi = FockVector(rng.normal(size=dim) + 1j * rng.normal(size=dim))
     loss = LossParameter(phi)
-    ops = kraus_operators(loss, dim)
+    ops = reference_kraus(phi, dim)
     pure = evolve(psi, loss).matrix
     images = [k @ psi.amplitudes for k in ops]
     kraus_sum = sum(np.outer(v, v.conj()) for v in images)
-    mixed = evolve(psi.density(), loss).matrix
+    mixed = evolve(DensityOperator(np.outer(psi.amplitudes, psi.amplitudes.conj())),
+                   loss).matrix
     assert _relative(mixed, pure) <= 1e-12
     assert _relative(pure, kraus_sum) <= 1e-12
     assert _relative(mixed, kraus_sum) <= 1e-12
@@ -224,16 +253,19 @@ def test_log_factorial_sites_match_their_references(dim, seed, phi, alpha):
     kraus_sum = sum(k @ rho @ k.conj().T for k in ops)
     assert _relative(evolve(rho, loss).matrix, kraus_sum) <= 1e-12
 
-    # c_0 = exp(-|alpha|^2/2), c_{m+1} = alpha c_m / sqrt(m+1); subnormal
-    # levels carry no relative precision and are left out
-    recurrence = np.empty(dim, dtype=complex)
-    recurrence[0] = math.exp(-0.5 * abs(alpha) ** 2)
-    for m in range(dim - 1):
-        recurrence[m + 1] = alpha * recurrence[m] / math.sqrt(m + 1)
-    closed = _coherent_amplitudes(alpha, dim)
-    normal = np.abs(recurrence) > 1e-290
-    assert np.all(np.abs(closed - recurrence)[normal] <= 1e-12 * np.abs(recurrence)[normal])
-    assert np.all(np.abs(closed[~normal]) <= 1e-280)
+    # the coherent state, complex and real, is the closed form on its kept
+    # levels, renormalized there, each level to 2e-12 relative (the closed
+    # form's own phase m arg(alpha) carries 2.4e-13 at m = 700); its cutoff D
+    # is the smallest whose neglected population, summed here from the top,
+    # is below TAIL_TOL, up to the roundoff of the state's running sum
+    for a in (alpha, alpha.real):
+        state = coherent_state(a).amplitudes
+        closed = coherent_reference(a, MAX_LEVELS)
+        kept = closed[:state.size] / np.linalg.norm(closed[:state.size])
+        assert np.all(np.abs(state - kept) <= 2e-12 * np.abs(kept))
+        tail = np.cumsum(np.abs(closed[::-1]) ** 2)[::-1]
+        assert tail[state.size] < TAIL_TOL + 1e-13
+        assert state.size == 1 or tail[state.size - 1] >= TAIL_TOL - 1e-13
 
 
 @st.composite
@@ -284,6 +316,20 @@ def test_a_stack_with_one_angle_per_probe_equals_the_single_calls(stack):
 
 
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(st.integers(2, 6), st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
+       st.floats(0.2, math.pi / 2 - 1e-3))
+def test_a_stack_at_one_shared_angle_equals_the_single_calls(batch, dim, seed, phi):
+    # at one shared angle the stack's Kraus images have the layout each row's
+    # have alone, so every row takes the same matrix products, bit for bit;
+    # cutoffs from about 12 up are where a different layout moves the bits
+    amps = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(batch, dim))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    together = _qfi_stack(amps, phi)
+    alone = np.array([_qfi_stack(row[None], phi)[0] for row in amps])
+    assert np.array_equal(together, alone)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
 @given(real_stacks())
 def test_the_real_route_equals_the_complex_route(stack):
     # a complex array whose imaginary part is exactly zero (what FockVector
@@ -319,7 +365,7 @@ def test_closed_form_kraus_images_match_the_kraus_operators(dim, seed, phi):
     cols = _kraus_images(psi, phi)
     rho = np.outer(psi, psi.conj())
     kraus_sum = np.zeros((dim, dim), dtype=complex)
-    for n, k in enumerate(kraus_operators(phi, dim)):
+    for n, k in enumerate(reference_kraus(phi, dim)):
         assert np.max(np.abs(cols[:, n] - k @ psi)) <= 1e-12
         kraus_sum += k @ rho @ k.conj().T
     assert _relative(cols @ cols.conj().T, kraus_sum) <= 1e-12

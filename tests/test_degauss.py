@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from lossqfi import (DomainError, coherent_state, coverage_check,
+from lossqfi import (DomainError, FockVector, coverage_check,
                      displaced_squeezed_vacuum, fidelity, fock_state,
                      mean_photon, photon_subtract, qutrit_coords, region_map,
-                     truncate_levels, truncated_subtracted_coeffs)
+                     truncate_levels)
+from lossqfi.degauss import _subtracted_levels
 from lossqfi.errors import DegenerateStateError
+from lossqfi.fock import _gaussian_amplitudes
 
 
 class TestPhotonSubtract:
@@ -16,7 +18,8 @@ class TestPhotonSubtract:
         assert abs(out.amplitudes[0]) == pytest.approx(1.0)
 
     def test_coherent_eigenstate(self):
-        state = coherent_state(1.0, dim=40)
+        # on 40 levels, far more than the measured cutoff keeps
+        state = FockVector(_gaussian_amplitudes(1.0, 0.0, 0.0, 40))
         out = photon_subtract(state)
         assert fidelity(out, state) == pytest.approx(1.0, abs=1e-9)
 
@@ -32,7 +35,7 @@ class TestPhotonSubtract:
 
 class TestTruncateLevels:
     def test_vacuum_unchanged(self):
-        out = truncate_levels(fock_state(0, 1), 3)
+        out = truncate_levels(fock_state(0), 3)
         assert abs(out.amplitudes[0]) == pytest.approx(1.0)
 
     def test_subtracted_coherent_point(self):
@@ -63,9 +66,11 @@ class TestTruncateLevels:
 class TestRouteEquivalence:
     def test_numeric_equals_printed_coefficients(self):
         # subtract-then-truncate must reproduce the closed-form k_j table
+        # that the region map evaluates
         for eta in np.linspace(0.05, 2.0, 20):
             for r in np.linspace(-1.0, 1.0, 20):
-                printed = truncated_subtracted_coeffs(eta, r)
+                printed = _subtracted_levels(eta, r)
+                printed = printed / np.linalg.norm(printed)
                 state = photon_subtract(displaced_squeezed_vacuum(eta, r, 0.0))
                 numeric = truncate_levels(state, 3).amplitudes
                 overlap = abs(np.vdot(numeric, printed))
@@ -119,7 +124,7 @@ class TestRegionMap:
 
     def test_matches_per_point_pipeline(self):
         # levels 1-3 of D S|0> fix the three kept levels of the subtracted
-        # state, so an explicit dimension of 8 needs no cutoff; the lattice
+        # state, so 8 levels of D S|0> need no cutoff; the lattice
         # holds the vacuum, points near the origin where a tail cutoff would
         # drop level 3, and points above nbar = 1
         etas = np.array([0.0, 0.001, 0.003, 0.025, 0.05, 0.4, 1.0, 1.9])
@@ -128,7 +133,7 @@ class TestRegionMap:
         for eta in etas:
             for r in rs:
                 try:
-                    state = displaced_squeezed_vacuum(eta, r, dim=8)
+                    state = FockVector(_gaussian_amplitudes(eta, r, 0.0, 8))
                     nbar, beta = qutrit_coords(truncate_levels(photon_subtract(state), 3))
                 except DegenerateStateError:
                     skipped += 1

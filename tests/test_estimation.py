@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from lossqfi import (DomainError, Fock, FockVector, LossParameter, Qubit, Qutrit,
-                     classical_fisher, closed_form_qfi, coherent_state,
-                     drho_dphi, evolve, fock_state, optimal_measurement, qfi,
-                     qfi_of_state, sld)
+                     classical_fisher, closed_form_qfi, drho_dphi, evolve,
+                     fock_state, optimal_measurement, qfi, qfi_of_state, sld)
 
 from lossqfi import estimation
 from lossqfi.cli import main
+from lossqfi.fock import _gaussian_amplitudes
 
 PHI_GRID = np.linspace(1e-3, math.pi / 2 - 1e-3, 25)
 
@@ -242,7 +242,7 @@ class TestClosedForms:
     def test_coherent_matches_pipeline(self):
         for alpha in (0.5, 1.0):
             # 30 levels leave a tail far below the comparison's 1e-8
-            state = coherent_state(alpha, dim=30)
+            state = FockVector(_gaussian_amplitudes(alpha, 0.0, 0.0, 30))
             for phi in (0.2, math.pi / 4, 1.3):
                 closed = closed_form_qfi("coherent", {"nbar": alpha ** 2}, phi)
                 numeric = qfi_of_state(state, phi)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from lossqfi import (CutoffOverflowError, DomainError, FockVector, Gaussian,
-                     build_probe, coherent_state, displaced_squeezed_vacuum,
+from lossqfi import (CutoffOverflowError, DensityOperator, DomainError, FockVector,
+                     Gaussian, build_probe, coherent_state, displaced_squeezed_vacuum,
                      fidelity, fock, fock_state, hermitian_eig, mean_photon)
 from lossqfi.errors import DegenerateStateError
+from lossqfi.fock import _gaussian_amplitudes
 
 
 def ladder_operators(dim: int):
@@ -19,17 +20,26 @@ def ladder_operators(dim: int):
     return a, a.conj().T, np.diag(np.arange(dim, dtype=complex))
 
 
+def basis(n: int, dim: int) -> FockVector:
+    """|n> on the dim levels 0..dim-1."""
+    return FockVector(np.eye(dim)[n])
+
+
+def density(state: FockVector) -> DensityOperator:
+    return DensityOperator(np.outer(state.amplitudes, state.amplitudes.conj()))
+
+
 class TestLadderOperators:
     def test_annihilation_on_fock(self):
         a, _, _ = ladder_operators(3)
-        out = a @ fock_state(2, 3).amplitudes
+        out = a @ fock_state(2).amplitudes
         expected = np.zeros(3, dtype=complex)
         expected[1] = math.sqrt(2)
         assert np.allclose(out, expected, atol=1e-15)
 
     def test_vacuum_annihilates(self):
         a, _, _ = ladder_operators(3)
-        assert np.allclose(a @ fock_state(0, 3).amplitudes, 0.0)
+        assert np.allclose(a @ basis(0, 3).amplitudes, 0.0)
 
     def test_commutator_below_top_level(self):
         # [a, a+] = 1 except on the top truncated level
@@ -41,8 +51,8 @@ class TestLadderOperators:
         a, ad, num = ladder_operators(8)
         assert np.allclose(num, ad @ a, atol=1e-13)
         for m in range(7):
-            basis = fock_state(m, 8).amplitudes
-            assert np.allclose(num @ basis, m * basis, atol=1e-13)
+            state = basis(m, 8).amplitudes
+            assert np.allclose(num @ state, m * state, atol=1e-13)
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(DomainError):
@@ -126,9 +136,14 @@ class TestDisplacedSqueezedVacuum:
         assert state.amplitudes[0] == pytest.approx(1.0)
 
     def test_pure_displacement_matches_coherent_expansion(self):
-        built = displaced_squeezed_vacuum(1.0, 0.0)
-        closed = coherent_state(1.0, dim=built.dim)
-        assert fidelity(built, closed) > 1.0 - 1e-10
+        # D(alpha)|0> = exp(-|alpha|^2/2) sum_m alpha^m / sqrt(m!) |m>, the
+        # closed form written here; the state renormalizes it on its cutoff
+        for alpha in (1.0, 0.6 + 0.8j, -2.5):
+            built = displaced_squeezed_vacuum(alpha, 0.0)
+            closed = np.array([math.exp(-0.5 * abs(alpha) ** 2) * alpha ** m
+                               / math.sqrt(math.factorial(m)) for m in range(built.dim)])
+            assert np.max(np.abs(built.amplitudes - closed / np.linalg.norm(closed))) < 1e-14
+            assert np.array_equal(coherent_state(alpha).amplitudes, built.amplitudes)
 
     def test_squeezed_vacuum_parity_and_energy(self):
         state = displaced_squeezed_vacuum(0.0, 0.5)
@@ -142,8 +157,8 @@ class TestDisplacedSqueezedVacuum:
     def test_tail_below_tolerance(self):
         state = displaced_squeezed_vacuum(1.0, 0.5)
         # rebuild on a larger space: the mass beyond the chosen cutoff is the tail
-        big = displaced_squeezed_vacuum(1.0, 0.5, dim=state.dim + 40)
-        tail = float(np.sum(np.abs(big.amplitudes[state.dim:]) ** 2))
+        big = _gaussian_amplitudes(1.0, 0.5, 0.0, state.dim + 40)
+        tail = float(np.sum(np.abs(big[state.dim:]) ** 2))
         assert tail < fock.TAIL_TOL
 
     @pytest.mark.parametrize("eta, r, theta", [
@@ -169,7 +184,7 @@ class TestDisplacedSqueezedVacuum:
         tol = fock.TAIL_TOL
         state = displaced_squeezed_vacuum(eta, r)
         assert state.dim == expected
-        pop = np.abs(displaced_squeezed_vacuum(eta, r, dim=state.dim + 60).amplitudes) ** 2
+        pop = np.abs(_gaussian_amplitudes(eta, r, 0.0, state.dim + 60)) ** 2
         assert pop[state.dim:].sum() < tol <= pop[state.dim - 1:].sum()
 
     def test_cutoff_overflow(self):
@@ -197,7 +212,7 @@ class TestFidelity:
         assert fidelity(fock_state(0), fock_state(0)) == pytest.approx(1.0)
 
     def test_orthogonal_states(self):
-        assert fidelity(fock_state(0, 2), fock_state(1, 2)) == pytest.approx(0.0, abs=1e-15)
+        assert fidelity(basis(0, 2), basis(1, 2)) == pytest.approx(0.0, abs=1e-15)
 
     def test_coherent_vs_three_level_truncation(self):
         # kept mass of |alpha=1> on levels 0..2 is e^{-1} (1 + 1 + 1/2); the
@@ -220,19 +235,19 @@ class TestFidelity:
         assert fidelity(x, y) == pytest.approx(1.0)
 
     def test_padding_mismatched_cutoffs(self):
-        assert fidelity(fock_state(0, 1), fock_state(0, 5)) == pytest.approx(1.0)
-        assert fidelity(fock_state(0, 1), fock_state(3, 5)) == pytest.approx(0.0, abs=1e-15)
+        assert fidelity(basis(0, 1), basis(0, 5)) == pytest.approx(1.0)
+        assert fidelity(basis(0, 1), basis(3, 5)) == pytest.approx(0.0, abs=1e-15)
 
     def test_density_operator_route_matches_pure(self):
         # the trace overlap Tr[rho_x rho_y] of two pure states is |<x|y>|^2
-        x = coherent_state(0.7, dim=12)
-        y = coherent_state(-0.4, dim=12)
-        overlap = np.trace(x.density().matrix @ y.density().matrix).real
+        x = FockVector(_gaussian_amplitudes(0.7, 0.0, 0.0, 12))
+        y = FockVector(_gaussian_amplitudes(-0.4, 0.0, 0.0, 12))
+        overlap = np.trace(density(x).matrix @ density(y).matrix).real
         assert fidelity(x, y) == pytest.approx(overlap, abs=1e-12)
 
     def test_density_input(self):
-        x = coherent_state(0.7, dim=12)
-        for mixed in (x.density(), x.density().matrix):
+        x = coherent_state(0.7)
+        for mixed in (density(x), density(x).matrix):
             for args in ((mixed, x), (x, mixed)):
                 with pytest.raises(DomainError, match="takes pure states only"):
                     fidelity(*args)
@@ -253,7 +268,7 @@ class TestMeanPhoton:
 
     def test_density_input(self):
         state = fock_state(2)
-        for mixed in (state.density(), state.density().matrix):
+        for mixed in (density(state), density(state).matrix):
             with pytest.raises(DomainError, match="takes pure states only"):
                 mean_photon(mixed)
 

@@ -87,9 +87,9 @@ def golden_reference(f, grid, values, tol):
 def qutrit_reference(nbar, phi):
     """The optimal qutrit by the scalar search over _qfi_stack, one probe per call."""
     grid = np.linspace(0.0, np.pi / 2, optimize.QUTRIT_GRID_POINTS)
-    values = optimize._qfi_stack(_qutrit_amplitudes(nbar, grid).real, phi)
+    values = optimize._qfi_stack(_qutrit_amplitudes(nbar, grid), phi)
     return golden_reference(
-        lambda beta: optimize._qfi_stack(_qutrit_amplitudes(nbar, beta).real[None], phi)[0],
+        lambda beta: optimize._qfi_stack(_qutrit_amplitudes(nbar, beta)[None], phi)[0],
         grid, values, optimize.QUTRIT_BETA_TOL)[:2]
 
 

@@ -5,11 +5,32 @@ import pytest
 
 from lossqfi import (Cat, Coherent, DomainError, Fock, FockVector, Gaussian,
                      PhotonSubtracted, Qubit, Qutrit, Superposition,
-                     TruncatedSubtracted, build_probe, coherent_state,
-                     mean_photon, nominal_nbar, parse_probe, probe_label, qfi,
-                     qfi_of_state, qutrit_coords, truncated_subtracted_coeffs)
+                     TruncatedSubtracted, build_probe, mean_photon, parse_probe,
+                     probe_label, qfi, qfi_of_state, qutrit_coords)
+from lossqfi.degauss import _subtracted_levels
 from lossqfi.errors import DegenerateStateError
-from lossqfi.probes import _FAMILIES
+from lossqfi.probes import _FAMILIES, cat_mean_photon
+
+# the declared mean photon number of each family with a closed form
+_NOMINAL_NBAR = {
+    Fock: lambda s: float(s.n),
+    Qubit: lambda s: math.sin(s.theta) ** 2,
+    Qutrit: lambda s: s.nbar,
+    Superposition: lambda s: sum(m * abs(c) ** 2 for m, c in enumerate(s.coefficients)),
+    Coherent: lambda s: abs(s.alpha) ** 2,
+    Cat: lambda s: cat_mean_photon(s.alpha, s.sign),
+    Gaussian: lambda s: abs(s.eta) ** 2 + math.sinh(s.r) ** 2,
+}
+
+
+def truncated_subtracted_coeffs(eta: float, r: float) -> np.ndarray:
+    """The printed three-level table of the truncated a D(eta) S(r)|0>,
+    normalized: k0 = eta (tanh r + 1), k1 = k0^2 - tanh r and
+    k2 = k0 (k0^2 - 3 tanh r) / sqrt(2)."""
+    t = math.tanh(r)
+    k0 = eta * (t + 1.0)
+    k = np.array([k0, k0 ** 2 - t, k0 * (k0 ** 2 - 3.0 * t) / math.sqrt(2.0)])
+    return k / np.linalg.norm(k)
 
 
 def _subtracted_nbar(eta, r, levels=None):
@@ -58,7 +79,7 @@ class TestBuildProbe:
 
     def test_qubit_from_nbar(self):
         spec = Qubit.from_nbar(0.36)
-        assert nominal_nbar(spec) == pytest.approx(0.36, abs=1e-12)
+        assert math.sin(spec.theta) ** 2 == pytest.approx(0.36, abs=1e-12)
 
     def test_cat_parities(self):
         even = build_probe(Cat(1.1, +1))
@@ -73,7 +94,7 @@ class TestBuildProbe:
     def test_gaussian_energy(self):
         spec = Gaussian(0.9, 0.6, 0.0)
         state = build_probe(spec)
-        assert mean_photon(state) == pytest.approx(nominal_nbar(spec), abs=1e-6)
+        assert mean_photon(state) == pytest.approx(0.9 ** 2 + math.sinh(0.6) ** 2, abs=1e-6)
 
     def test_superposition_normalized(self):
         spec = Superposition([1.0, 1.0j, 1.0])
@@ -94,8 +115,9 @@ class TestBuildProbe:
         (TruncatedSubtracted(1.0, 0.4, 4), 1e-12),
     ])
     def test_energy_consistency(self, spec, tol):
-        expected = nominal_nbar(spec)
-        if expected is None:
+        if type(spec) in _NOMINAL_NBAR:
+            expected = _NOMINAL_NBAR[type(spec)](spec)
+        else:
             expected = _subtracted_nbar(spec.eta, spec.r, getattr(spec, "levels", None))
         assert mean_photon(build_probe(spec)) == pytest.approx(expected, abs=tol)
 
@@ -111,34 +133,46 @@ class TestBuildProbe:
 
 
 class TestTruncatedSubtractedCoeffs:
+    # the table is written above; the region map's closed form
+    # (degauss._subtracted_levels) and the built truncsub state must match it
+
     def test_printed_formula_hand_evaluation(self):
         # k = (1, 1, 1/sqrt(2)) at eta=1, r=0
         coeffs = truncated_subtracted_coeffs(1.0, 0.0)
-        assert np.allclose(coeffs, [0.632455532034, 0.632455532034, 0.447213595500],
-                           atol=1e-12)
+        hand = [0.632455532034, 0.632455532034, 0.447213595500]
+        assert np.allclose(coeffs, hand, atol=1e-12)
+        levels = _subtracted_levels(1.0, 0.0)
+        assert np.allclose(levels / np.linalg.norm(levels), hand, atol=1e-12)
 
     def test_squeezed_only_truncates_to_one_photon(self):
         coeffs = truncated_subtracted_coeffs(0.0, 0.5)
         assert np.allclose(np.abs(coeffs), [0.0, 1.0, 0.0], atol=1e-15)
+        state = build_probe(TruncatedSubtracted(0.0, 0.5))
+        assert np.allclose(np.abs(state.amplitudes), [0.0, 1.0, 0.0], atol=1e-15)
 
     def test_coherent_point_matches_fock_expansion(self):
-        # photon subtraction leaves a coherent state untouched
-        coeffs = truncated_subtracted_coeffs(1.0, 0.0)
-        reference = coherent_state(1.0, dim=3).amplitudes
-        reference = reference / np.linalg.norm(reference)
-        overlap = abs(np.vdot(coeffs, reference)) ** 2
-        assert overlap > 1.0 - 1e-10
+        # photon subtraction leaves a coherent state untouched: at r = 0 the
+        # three kept levels are those of |eta>, e^{-1/2} (1, 1, 1/sqrt(2)) at
+        # eta = 1, renormalized
+        reference = np.array([1.0, 1.0, 1.0 / math.sqrt(2.0)])
+        reference /= np.linalg.norm(reference)
+        for coeffs in (truncated_subtracted_coeffs(1.0, 0.0),
+                       build_probe(TruncatedSubtracted(1.0, 0.0)).amplitudes):
+            assert abs(np.vdot(coeffs, reference)) ** 2 > 1.0 - 1e-10
 
     def test_degenerate_pair(self):
+        # all three kept levels vanish at the vacuum
+        assert not np.any(_subtracted_levels(0.0, 0.0))
         with pytest.raises(DegenerateStateError):
-            truncated_subtracted_coeffs(0.0, 0.0)
+            build_probe(TruncatedSubtracted(0.0, 0.0))
 
     def test_matches_numeric_route(self):
         for eta, r in [(1.0, 0.5), (0.5, -0.3), (1.5, 0.8), (0.3, 0.2)]:
             numeric = build_probe(TruncatedSubtracted(eta, r, 3)).amplitudes
             printed = truncated_subtracted_coeffs(eta, r)
-            overlap = abs(np.vdot(numeric, printed))
-            assert overlap > 1.0 - 1e-9
+            levels = _subtracted_levels(eta, r)
+            assert abs(np.vdot(numeric, printed)) > 1.0 - 1e-9
+            assert np.allclose(levels / np.linalg.norm(levels), printed, atol=1e-14)
 
     @pytest.mark.parametrize("eta", [0.002, 0.003])
     def test_built_state_keeps_its_levels_near_the_origin(self, eta):

@@ -95,6 +95,11 @@ CORPUS = [
     ("qfi-coherent-cutoff", "qfi coherent:alpha=1 --phi 0.7"),
     ("optimize-superposition-complex-ridge",
      "optimize --family superposition --kmax 3 --nbar 1.4 --phi 0.7357142857142858"),
+    # a large complex amplitude, and one past the level guard: above
+    # |alpha|^2 of about 1416 the vacuum amplitude underflows, so the
+    # message's lower bound on the energy reads 1024
+    ("qfi-coherent-large-complex", "qfi coherent:alpha=12+9j --phi 0.3"),
+    ("error-coherent-overflow", "qfi coherent:alpha=40 --phi 0.5"),
 ]
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
