@@ -8,13 +8,15 @@ theta_rel = 0) share one dense-grid plus golden-section search that runs
 any number of points in lockstep; superpositions of the lowest Fock levels
 run a quasi-Newton search with the exact gradient of the QFI over an exact
 chart of the real energy slice from all starts at once. Both make one
-stacked evaluation per pass. The exact phase-space form of a Gaussian probe
-through loss ranks the squeeze grid, and it shows that no relative squeeze
-phase beats theta_rel = 0; every reported H comes from the QFI core. Every
-candidate satisfies the normalization and energy constraints exactly, so no
-penalty terms are involved. Checks on the hot path keep the narrowed search
-honest: the superposition optimum must be a stationary point of the slice
-and a maximum in the phases.
+stacked evaluation per pass. Exact forms rank both grids, so the core
+evaluates only the grid points near each best: the purification form of a
+real qutrit through loss, a 3 x 3 solve, and the phase-space form of a
+Gaussian probe, which also shows that no relative squeeze phase beats
+theta_rel = 0. The polish runs on the core, and every reported H is the
+core's. Every candidate satisfies the normalization and energy constraints
+exactly, so no penalty terms are involved. Checks on the hot path keep the
+narrowed search honest: the superposition optimum must be a stationary point
+of the slice and a maximum in the phases.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ import numpy as np
 
 from .channel import LossParameter, _as_loss
 from .errors import CutoffOverflowError, DomainError
-from .estimation import QFI_ROUNDOFF, _qfi_grad_stack, _qfi_stack, qfi_of_state
+from .estimation import (QFI_ROUNDOFF, STACK_BUDGET, _qfi_grad_stack, _qfi_stack,
+                         qfi_of_state)
 from .fock import _cut, _gaussian_amplitudes, mean_photon
 from .montecarlo import _rep_rng
 from .probes import (Cat, Gaussian, ProbeSpec, Qutrit, Superposition,
@@ -39,6 +42,11 @@ __all__ = [
 
 QUTRIT_GRID_POINTS = 721
 QUTRIT_BETA_TOL = 1e-6
+# the core ranks the grid points within this of a row's best closed-form H. The
+# core itself errs by up to 1e-6 relative at the ends of the loss domain, but
+# smoothly in beta: from 1e-8 up this picks the core's own best grid point on
+# every point checked, and at 1e-9 it misses at phi = PHI_MIN, nbar ~ 0.67
+QUTRIT_TIE_TOL = 1e-7
 SUPERPOSITION_STARTS = 32
 SEARCH_MAX_ITER = 300
 # a start stops once the increase its next step promises is below
@@ -115,10 +123,54 @@ def _grid_then_polish(f, grid, values, tol):
     return np.where(top > best, grid[i], mid), np.where(top > best, top, best)
 
 
+def _qutrit_closed_form(nbar, beta, phi) -> np.ndarray:
+    """H of the real qutrit :func:`_qutrit_amplitudes` (nbar, beta) = (a, b, c)
+    through loss at phi, elementwise over the three broadcast together, with no
+    eigenproblem.
+
+    The Kraus images C (row m, Kraus index n, <m|K_n|psi>) purify the output,
+    and so does C U for every unitary U on the Kraus index. The QFI is the least
+    4 (||R||^2 - |Tr C+ R|^2), R = d(C U)/dphi, over them (Fujiwara and Imai,
+    J. Phys. A 41, 255304 (2008); Escher, de Matos Filho and Davidovich, Nat.
+    Phys. 7, 406 (2011)). For real C a real symmetric part S of the generator of
+    U only adds ||C S||^2 - (Tr C^T C S)^2 >= 0, so H = 4 min ||C' + C A||^2 over
+    real antisymmetric A, with C' = cot(phi) C N - tan(phi) N C, whose squared
+    norm is a sum of binomial variances, nbar. For three levels A = [w]x turns
+    this into the quadratic nbar + 2 u.w + w.G w, so H = 4 (nbar - u.G^-1 u),
+    with M = C^T C, G = Tr(M) I - M and u the axial vector of N - N^T,
+    N = C^T C'. With k = cos(phi) and s = sin(phi), C has six nonzero entries,
+    C_00 = a, C_01 = s b, C_02 = s^2 c, C_10 = k b, C_11 = sqrt(2) k s c and
+    C_20 = k^2 c, which give M and u below. G's eigenvalues are the pair sums of
+    the output's eigenvalues, so it is singular only for a pure output; its
+    diagonal sums two diagonal entries of M, free of cancellation, and
+    u.G^-1 u is taken by the adjugate.
+    """
+    a, b, c = np.moveaxis(_qutrit_amplitudes(nbar, beta), -1, 0)
+    k, s = np.cos(phi), np.sin(phi)
+    lead = a + math.sqrt(2.0) * k * k * c
+    m00 = a * a + (k * b) ** 2 + (k * k * c) ** 2
+    m11 = (s * b) ** 2 + 2.0 * (k * s * c) ** 2
+    m22 = (s * s * c) ** 2
+    m01, m02, m12 = s * b * lead, s * s * a * c, s ** 3 * b * c
+    u0, u1, u2 = s * s * k * b * c, -2.0 * s * k * a * c, k * b * lead
+    g00, g11, g22 = m11 + m22, m00 + m22, m00 + m11
+    # the adjugate of G, whose off-diagonal entries are -m01, -m02 and -m12
+    a00, a11, a22 = g11 * g22 - m12 * m12, g00 * g22 - m02 * m02, g00 * g11 - m01 * m01
+    a01, a02, a12 = m01 * g22 + m02 * m12, m01 * m12 + m02 * g11, m01 * m02 + g00 * m12
+    det = g00 * a00 - m01 * a01 - m02 * a02
+    quad = (a00 * u0 * u0 + a11 * u1 * u1 + a22 * u2 * u2
+            + 2.0 * (a01 * u0 * u1 + a02 * u0 * u2 + a12 * u1 * u2))
+    return 4.0 * (b * b + 2.0 * c * c - quad / det)
+
+
 def _qutrit_optima(nbars, phis):
     """Optimal beta and H of :func:`optimize_qutrit` at every (nbars[k], phis[k]) in one
-    lockstep search: one stacked core call per distinct loss angle for the grid, then one
-    per pass over the points still running, at one angle per point."""
+    lockstep search. The exact three-level form (:func:`_qutrit_closed_form`) ranks the
+    beta grid in blocks of points at one loss angle, each block keeping points x grid
+    within STACK_BUDGET; one stacked core call per block gives H at the grid points
+    within QUTRIT_TIE_TOL of their row's best, and the others drop out. The
+    golden-section polish then makes one core call per pass over the points still
+    running, at one angle per point, so every reported beta and H is the core's."""
     nbars = np.asarray(nbars, dtype=float)
     angles = np.array([_as_loss(phi).phi for phi in phis])
     for nbar, phi in zip(nbars, angles):
@@ -127,11 +179,15 @@ def _qutrit_optima(nbars, phis):
                               f"not {nbar:.12g} (phi = {phi:.12g})")
 
     grid = np.linspace(0.0, np.pi / 2, QUTRIT_GRID_POINTS)
-    vals = np.empty((nbars.size, grid.size))
+    vals = np.full((nbars.size, grid.size), -np.inf)
+    block = max(1, STACK_BUDGET // grid.size)
     for phi in dict.fromkeys(angles):
         at = np.flatnonzero(angles == phi)
-        amps = _qutrit_amplitudes(nbars[at, None], grid).reshape(-1, 3)
-        vals[at] = _qfi_stack(amps, phi).reshape(at.size, -1)
+        for start in range(0, at.size, block):
+            rows = at[start:start + block]
+            rank = _qutrit_closed_form(nbars[rows, None], grid, phi)
+            row, col = np.nonzero(rank >= rank.max(axis=1, keepdims=True) - QUTRIT_TIE_TOL)
+            vals[rows[row], col] = _qfi_stack(_qutrit_amplitudes(nbars[rows[row]], grid[col]), phi)
     return _grid_then_polish(lambda rows, beta: _qfi_stack(
         _qutrit_amplitudes(nbars[rows], beta), angles[rows]), grid, vals, QUTRIT_BETA_TOL)
 

@@ -8,6 +8,7 @@ from lossqfi import (CutoffOverflowError, DomainError, Gaussian, LossParameter, 
                      optimize_gaussian, optimize_qutrit,
                      optimize_superposition, build_probe, qfi_of_state)
 from lossqfi import fock, optimize
+from lossqfi.channel import PHI_MIN
 from lossqfi.probes import _qutrit_amplitudes
 
 
@@ -53,6 +54,9 @@ REGION_POINTS = [(nbar, phi) for phi in (math.pi / 16, math.pi / 8, math.pi / 4,
                  for nbar in np.linspace(0.05, 0.95, 19)]
 ORDERING_POINTS = [(nbar, float(phi)) for nbar in (0.1, 0.3, 0.5, 0.8, 1.0)
                    for phi in np.linspace(0.05, math.pi / 2 - 0.05, 15)]
+# at the ends of the loss domain the core errs by up to 1e-6 relative
+DOMAIN_END_POINTS = [(nbar, phi) for phi in (PHI_MIN, math.pi / 2 - PHI_MIN)
+                     for nbar in (0.01, 0.666, 1.0)]
 
 
 def golden_reference(f, grid, values, tol):
@@ -93,9 +97,74 @@ def qutrit_reference(nbar, phi):
         grid, values, optimize.QUTRIT_BETA_TOL)[:2]
 
 
+def kraus_qfi(amps, phi):
+    """4 min ||C' + C A||^2 over real antisymmetric A, by least squares over the
+    generators E_ij - E_ji, with C = [K_n psi] and C' = [dK_n/dphi psi] from
+    dense Kraus matrices K_n = sin^n / sqrt(n!) cos^N a^n."""
+    d = amps.size
+    k, s = math.cos(phi), math.sin(phi)
+    images, derivs = [], []
+    for n in range(d):
+        kraus = np.zeros((d, d))
+        for m in range(d - n):
+            kraus[m, m + n] = k ** m * s ** n * math.sqrt(math.comb(m + n, n))
+        images.append(kraus @ amps)
+        derivs.append((n * k / s - np.arange(d)[:, None] * s / k) * kraus @ amps)
+    c, dc = np.array(images).T, np.array(derivs).T
+    gens = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            gens.append(np.zeros((d, d)))
+            gens[-1][i, j], gens[-1][j, i] = 1.0, -1.0
+    basis = np.stack([(c @ g).ravel() for g in gens], axis=1)
+    w = np.linalg.lstsq(basis, -dc.ravel(), rcond=None)[0]
+    return 4.0 * np.sum((dc.ravel() + basis @ w) ** 2)
+
+
+class TestQutritClosedForm:
+    def test_matches_the_oracles_at_the_ends_of_beta(self):
+        # beta = 0 is the 0-2 superposition, beta = pi/2 the qubit
+        for phi in (PHI_MIN, 0.3, 0.9, 1.5, math.pi / 2 - PHI_MIN):
+            for nbar in (0.01, 0.3, 0.666, 1.0):
+                params = {"nbar": nbar}
+                assert optimize._qutrit_closed_form(nbar, 0.0, phi) == pytest.approx(
+                    closed_form_qfi("qutrit02", params, phi), rel=1e-13, abs=0)
+                assert optimize._qutrit_closed_form(nbar, math.pi / 2, phi) == pytest.approx(
+                    closed_form_qfi("qubit", params, phi), rel=1e-13, abs=0)
+
+    def test_matches_a_kraus_least_squares_reference(self):
+        rng = np.random.default_rng(43)
+        nbar, beta = rng.uniform(0.01, 1.0, 60), rng.uniform(0.0, math.pi / 2, 60)
+        phi = rng.uniform(0.01, math.pi / 2 - 0.01, 60)
+        got = optimize._qutrit_closed_form(nbar, beta, phi)
+        for k in range(60):
+            ref = kraus_qfi(_qutrit_amplitudes(nbar[k], beta[k]), phi[k])
+            assert got[k] == pytest.approx(ref, rel=1e-12, abs=0), (nbar[k], beta[k], phi[k])
+
+    def test_matches_the_core_inside_the_loss_domain(self):
+        # near beta = pi/2 the output's smallest eigenvalue pair falls below
+        # the core's support threshold RANK_EPS and the core drops it, which
+        # costs 1e-7 relative at (nbar, beta, phi) = (0.005, 1.4944, 0.2); the
+        # closed form matches 50-digit arithmetic there
+        rng = np.random.default_rng(44)
+        nbar, beta = rng.uniform(0.1, 1.0, 300), rng.uniform(0.0, 1.5, 300)
+        phi = rng.uniform(0.2, 1.3, 300)
+        core = optimize._qfi_stack(_qutrit_amplitudes(nbar, beta), phi)
+        np.testing.assert_allclose(optimize._qutrit_closed_form(nbar, beta, phi), core,
+                                   rtol=1e-11, atol=0)
+
+    def test_is_elementwise(self):
+        grid = np.linspace(0.0, math.pi / 2, 7)
+        nbars = np.array([0.2, 0.9])[:, None]
+        table = optimize._qutrit_closed_form(nbars, grid, 0.7)
+        assert table.shape == (2, 7)
+        assert table[1, 3] == pytest.approx(optimize._qutrit_closed_form(0.9, grid[3], 0.7),
+                                            rel=1e-15)
+
+
 class TestLockstepSearch:
-    @pytest.mark.parametrize("points", [REGION_POINTS, ORDERING_POINTS],
-                             ids=["region-defaults", "criteria-6-7-grid"])
+    @pytest.mark.parametrize("points", [REGION_POINTS, ORDERING_POINTS, DOMAIN_END_POINTS],
+                             ids=["region-defaults", "criteria-6-7-grid", "domain-ends"])
     def test_batch_matches_the_scalar_search(self, points):
         # on phi = pi/2 - 1e-3, H is flat in beta to roundoff, so beta is not held there
         betas, qfis = optimize._qutrit_optima(*zip(*points))
@@ -104,6 +173,32 @@ class TestLockstepSearch:
             assert abs(h - ref_h) <= 1e-12 * ref_h
             if phi < math.pi / 2 - 0.01:
                 assert abs(beta - ref_beta) <= optimize.QUTRIT_BETA_TOL
+
+    def test_the_core_ranks_grid_points_the_closed_form_cannot_tell_apart(self, monkeypatch):
+        nbar, phi = 0.5, 1.0
+        grid = np.linspace(0.0, math.pi / 2, optimize.QUTRIT_GRID_POINTS)
+        core = optimize._qfi_stack(_qutrit_amplitudes(nbar, grid), phi)
+        best = int(np.argmax(core))
+        expected = optimize._qutrit_optima([nbar], [phi])
+
+        def planted(at, lead):
+            # the core's grid values, with grid point ``at`` ahead of the best by ``lead``
+            def closed_form(nbars, beta, angle):
+                rank = np.tile(core, (len(nbars), 1))
+                rank[:, at] = core[best] + lead
+                return rank
+            return closed_form
+
+        # a neighbour ahead by less than the tolerance: the core keeps its own best
+        monkeypatch.setattr(optimize, "_qutrit_closed_form",
+                            planted(best + 1, 0.5 * optimize.QUTRIT_TIE_TOL))
+        beta, h = optimize._qutrit_optima([nbar], [phi])
+        assert (beta[0], h[0]) == (expected[0][0], expected[1][0])
+        # a point ahead by more hides the core's best from the core
+        monkeypatch.setattr(optimize, "_qutrit_closed_form",
+                            planted(0, 2.0 * optimize.QUTRIT_TIE_TOL))
+        beta, h = optimize._qutrit_optima([nbar], [phi])
+        assert beta[0] < grid[2] and h[0] < expected[1][0] - 0.1
 
     def test_rows_stop_at_different_passes(self):
         # a peak on the grid's edge leaves a one-cell bracket, an inner peak a

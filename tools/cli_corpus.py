@@ -100,6 +100,12 @@ CORPUS = [
     # message's lower bound on the energy reads 1024
     ("qfi-coherent-large-complex", "qfi coherent:alpha=12+9j --phi 0.3"),
     ("error-coherent-overflow", "qfi coherent:alpha=40 --phi 0.5"),
+    # qutrit optima at the ends of the loss domain, where the core errs by up
+    # to 1e-6 relative and so ranks the grid differently from the exact form
+    ("optimize-qutrit-phi-min", "optimize --family qutrit --nbar 0.666 --phi 0.001"),
+    ("optimize-qutrit-phi-max", "optimize --family qutrit --nbar 0.666 --phi 1.5697963267948966"),
+    ("sweep-phi-qutrit-ends", "sweep-phi --families qutrit_opt:nbar=0.3 "
+                              "--phi 0.001:1.5697963267948966:25"),
 ]
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
