@@ -240,8 +240,8 @@ def cmd_region(args) -> int:
     region = region_map(etas, rs)
     ext = args.format
     prefix = args.out or "region"
-    _write_table(["eta", "r", "nbar", "beta"],
-                 [[p["eta"], p["r"], p["nbar"], p["beta"]] for p in region.points],
+    fields = ["eta", "r", "nbar", "beta"]
+    _write_table(fields, zip(*(region.points[name].tolist() for name in fields)),
                  f"{prefix}_region.{ext}", args.format)
     report = coverage_check([LossParameter(p) for p in phis], nbars, region)
     for p in phis:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .channel import _as_loss
 from .errors import DegenerateStateError, DomainError
+from .estimation import STACK_BUDGET
 from .fock import FockVector, amplitudes_of
 from .optimize import _qutrit_optima
 
@@ -112,18 +113,18 @@ def default_region_grids():
 
 def _subtracted_levels(eta, r):
     """Unnormalized levels 0-2 of the truncated a D(eta) S(r) |0>, stacked on
-    the last axis: k0 = eta (1 + t), k1 = k0^2 - t, k2 = k0 (k0^2 - 3t)/sqrt(2)
+    the first axis: k0 = eta (1 + t), k1 = k0^2 - t, k2 = k0 (k0^2 - 3t)/sqrt(2)
     with t = tanh r. ``eta`` and ``r`` are real and broadcast together."""
     t = np.tanh(r)
     k0 = eta * (1.0 + t)
-    return np.stack([k0, k0 * k0 - t, k0 * (k0 * k0 - 3.0 * t) / np.sqrt(2.0)], axis=-1)
+    return np.stack([k0, k0 * k0 - t, k0 * (k0 * k0 - 3.0 * t) / np.sqrt(2.0)])
 
 
 def region_map(eta_grid=None, r_grid=None) -> RegionMap:
     """Sample the attainable (nbar, beta) region of 3-level truncations.
 
     Every lattice point takes the closed form of the three kept levels of
-    a D(eta) S(r) |0> (:func:`_subtracted_levels`), one eta row at a time:
+    a D(eta) S(r) |0> (:func:`_subtracted_levels`), in blocks of eta rows:
     nbar = (k1^2 + 2 k2^2)/|k|^2 and beta = arctan2(|k1|, |k2|). Points
     with nbar > 1 are dropped; the vacuum (eta = r = 0), where all three
     levels vanish, is skipped and counted, never fatal.
@@ -139,16 +140,18 @@ def region_map(eta_grid=None, r_grid=None) -> RegionMap:
     fields = [("eta", float), ("r", float), ("nbar", float), ("beta", float)]
     chunks = []
     skipped = 0
-    for eta in eta_grid:
-        k0, k1, k2 = _subtracted_levels(eta, r_grid).T
+    block = max(1, STACK_BUDGET // r_grid.size)
+    for start in range(0, eta_grid.size, block):
+        k0, k1, k2 = _subtracted_levels(eta_grid[start:start + block, None], r_grid)
         norm2 = k0 ** 2 + k1 ** 2 + k2 ** 2
         ok = norm2 > 0.0
         skipped += int(np.count_nonzero(~ok))
         with np.errstate(divide="ignore", invalid="ignore"):
             nbar = (k1 ** 2 + 2.0 * k2 ** 2) / norm2
         keep = ok & (nbar <= 1.0)
-        chunk = np.empty(int(np.count_nonzero(keep)), dtype=fields)
-        chunk["eta"], chunk["r"] = eta, r_grid[keep]
+        row, col = np.nonzero(keep)
+        chunk = np.empty(row.size, dtype=fields)
+        chunk["eta"], chunk["r"] = eta_grid[start + row], r_grid[col]
         chunk["nbar"], chunk["beta"] = nbar[keep], np.arctan2(np.abs(k1[keep]), np.abs(k2[keep]))
         chunks.append(chunk)
     points = np.concatenate(chunks)
@@ -158,24 +161,25 @@ def region_map(eta_grid=None, r_grid=None) -> RegionMap:
 def coverage_check(phi_list, nbar_grid, region: RegionMap) -> CoverageReport:
     """Check that optimal qutrit weights are attainable by truncated states.
 
-    One lockstep search (:func:`optimize._qutrit_optima`) gives the optimal
-    beta at every (phi, nbar), and the region is searched for a sample within
-    (COVER_DELTA_NBAR, COVER_DELTA_BETA) of each. Misses inside the
-    extreme-loss / low-energy corner are flagged as the permitted exception
-    (there, practically all probes perform at the same near-ultimate level).
+    One lockstep search (:func:`optimize._qutrit_optima`) gives the optimal beta at every (phi,
+    nbar), and the region is searched for a sample within (COVER_DELTA_NBAR, COVER_DELTA_BETA)
+    of each, among the nbar-sorted samples within twice COVER_DELTA_NBAR (a margin for
+    rounding). Misses inside the extreme-loss / low-energy corner are flagged as the permitted
+    exception (there, practically all probes perform at the same near-ultimate level).
     """
     if region.points.size == 0:
         raise DomainError("region map is empty")
-    pts_n = region.points["nbar"]
-    pts_b = region.points["beta"]
+    order = np.argsort(region.points["nbar"])
+    pts_n, pts_b = region.points["nbar"][order], region.points["beta"][order]
     angles = [_as_loss(phi).phi for phi in phi_list]
     phis, nbars = (a.ravel() for a in np.meshgrid(
         angles, np.asarray(nbar_grid, dtype=float), indexing="ij"))
     betas, qfis = _qutrit_optima(nbars, phis)
     out = []
     for phi, nbar, beta, qfi in zip(phis.tolist(), nbars.tolist(), betas.tolist(), qfis.tolist()):
-        hit = bool(np.any((np.abs(pts_n - nbar) <= COVER_DELTA_NBAR)
-                          & (np.abs(pts_b - beta) <= COVER_DELTA_BETA)))
+        lo, hi = np.searchsorted(pts_n, nbar + np.array([-2.0, 2.0]) * COVER_DELTA_NBAR)
+        hit = bool(np.any((np.abs(pts_n[lo:hi] - nbar) <= COVER_DELTA_NBAR)
+                          & (np.abs(pts_b[lo:hi] - beta) <= COVER_DELTA_BETA)))
         exc = (phi >= EXCEPTION_PHI) and (nbar <= EXCEPTION_NBAR)
         out.append(CoveragePoint(phi=phi, nbar=nbar, beta_opt=beta, qfi_opt=qfi,
                                  covered=hit, exception=exc))

@@ -1,22 +1,20 @@
 """Fixed-energy QFI maximization over probe families.
 
-The loss channel commutes with e^{i theta N} and its Kraus operators are
-real in the Fock basis, so H(psi*) = H(psi): real coefficients are
-stationary in every phase direction, and the searches run on the real
-slice. The qutrit weight angle and the Gaussian squeeze fraction (at
-theta_rel = 0) share one dense-grid plus golden-section search that runs
-any number of points in lockstep; superpositions of the lowest Fock levels
-run a quasi-Newton search with the exact gradient of the QFI over an exact
-chart of the real energy slice from all starts at once. Both make one
-stacked evaluation per pass. Exact forms rank both grids, so the core
-evaluates only the grid points near each best: the purification form of a
-real qutrit through loss, a 3 x 3 solve, and the phase-space form of a
-Gaussian probe, which also shows that no relative squeeze phase beats
-theta_rel = 0. The polish runs on the core, and every reported H is the
-core's. Every candidate satisfies the normalization and energy constraints
-exactly, so no penalty terms are involved. Checks on the hot path keep the
-narrowed search honest: the superposition optimum must be a stationary point
-of the slice and a maximum in the phases.
+The loss channel commutes with e^{i theta N} and its Kraus operators are real in
+the Fock basis, so H(psi*) = H(psi): real coefficients are stationary in every phase
+direction, and the searches run on the real slice. The qutrit weight angle and the
+Gaussian squeeze fraction (at theta_rel = 0) share one dense-grid plus golden-section
+search that runs any number of points in lockstep; superpositions of the lowest Fock
+levels run a quasi-Newton search with the exact gradient of the QFI over an exact chart
+of the real energy slice from all starts at once. Both make one stacked evaluation per
+pass. Exact forms rank both grids: the purification form of a real qutrit through loss,
+a 3 x 3 solve, on which the qutrit search also polishes, and the phase-space form of a
+Gaussian probe, which shows that no relative squeeze phase beats theta_rel = 0; the
+Gaussian polish runs on the core. Every reported H is the core's. Every candidate
+satisfies the normalization and energy constraints exactly, so no penalty terms are
+involved. Checks on the hot path keep the narrowed search honest: the superposition
+optimum must be a stationary point of the slice and a maximum in the phases, and the
+core must agree with the qutrit form.
 """
 
 from __future__ import annotations
@@ -28,8 +26,8 @@ import numpy as np
 
 from .channel import LossParameter, _as_loss
 from .errors import CutoffOverflowError, DomainError
-from .estimation import (QFI_ROUNDOFF, STACK_BUDGET, _qfi_grad_stack, _qfi_stack,
-                         qfi_of_state)
+from .estimation import (QFI_ROUNDOFF, RANK_EPS, STACK_BUDGET, _qfi_grad_stack,
+                         _qfi_stack, qfi_of_state)
 from .fock import _cut, _gaussian_amplitudes, mean_photon
 from .montecarlo import _rep_rng
 from .probes import (Cat, Gaussian, ProbeSpec, Qutrit, Superposition,
@@ -42,11 +40,9 @@ __all__ = [
 
 QUTRIT_GRID_POINTS = 721
 QUTRIT_BETA_TOL = 1e-6
-# the core ranks the grid points within this of a row's best closed-form H. The
-# core itself errs by up to 1e-6 relative at the ends of the loss domain, but
-# smoothly in beta: from 1e-8 up this picks the core's own best grid point on
-# every point checked, and at 1e-9 it misses at phi = PHI_MIN, nbar ~ 0.67
-QUTRIT_TIE_TOL = 1e-7
+# the core's mask drops pairs with s = lam_p + lam_q <= RANK_EPS, 4 RANK_EPS in all on three
+# levels, each term 2 drho_qp^2 / s <= 8 s / (sin(phi) cos(phi))^2; the widest gap seen is 1/4 of it
+QUTRIT_AGREEMENT = 32.0 * RANK_EPS
 SUPERPOSITION_STARTS = 32
 SEARCH_MAX_ITER = 300
 # a start stops once the increase its next step promises is below
@@ -141,9 +137,10 @@ def _qutrit_closed_form(nbar, beta, phi) -> np.ndarray:
     N = C^T C'. With k = cos(phi) and s = sin(phi), C has six nonzero entries,
     C_00 = a, C_01 = s b, C_02 = s^2 c, C_10 = k b, C_11 = sqrt(2) k s c and
     C_20 = k^2 c, which give M and u below. G's eigenvalues are the pair sums of
-    the output's eigenvalues, so it is singular only for a pure output; its
-    diagonal sums two diagonal entries of M, free of cancellation, and
-    u.G^-1 u is taken by the adjugate.
+    the output's eigenvalues, so it is singular only for a pure output. Near one (small
+    nbar) det G and the diagonal of adj(G), u.G^-1 u = u.adj(G) u / det G, would cancel;
+    they come from the Gram determinants p_ij = m_ii m_jj - m_ij^2 of C's columns (sums
+    of squared minors), and det G = Tr(M) sum p_ij - det(C)^2 >= 8/9 Tr(M) sum p_ij.
     """
     a, b, c = np.moveaxis(_qutrit_amplitudes(nbar, beta), -1, 0)
     k, s = np.cos(phi), np.sin(phi)
@@ -153,43 +150,42 @@ def _qutrit_closed_form(nbar, beta, phi) -> np.ndarray:
     m22 = (s * s * c) ** 2
     m01, m02, m12 = s * b * lead, s * s * a * c, s ** 3 * b * c
     u0, u1, u2 = s * s * k * b * c, -2.0 * s * k * a * c, k * b * lead
-    g00, g11, g22 = m11 + m22, m00 + m22, m00 + m11
+    tr, g11, g22, kc2 = m00 + m11 + m22, m00 + m22, m00 + m11, (k * c) ** 2
+    p12, p02 = 2.0 * m22 * (k * s * c) ** 2, (s * s) ** 2 * kc2 * (b * b + kc2)
+    p01 = (k * s) ** 2 * ((math.sqrt(2) * a * c - b * b) ** 2 + kc2 * (b * b + 2.0 * kc2))
     # the adjugate of G, whose off-diagonal entries are -m01, -m02 and -m12
-    a00, a11, a22 = g11 * g22 - m12 * m12, g00 * g22 - m02 * m02, g00 * g11 - m01 * m01
-    a01, a02, a12 = m01 * g22 + m02 * m12, m01 * m12 + m02 * g11, m01 * m02 + g00 * m12
-    det = g00 * a00 - m01 * a01 - m02 * a02
+    a00, a11, a22 = m00 * tr + p12, m11 * tr + p02, m22 * tr + p01
+    a01, a02, a12 = m01 * g22 + m02 * m12, m01 * m12 + m02 * g11, m01 * m02 + (m11 + m22) * m12
+    det = tr * (p01 + p02 + p12) - p12 * k * k * kc2
     quad = (a00 * u0 * u0 + a11 * u1 * u1 + a22 * u2 * u2
             + 2.0 * (a01 * u0 * u1 + a02 * u0 * u2 + a12 * u1 * u2))
     return 4.0 * (b * b + 2.0 * c * c - quad / det)
 
 
 def _qutrit_optima(nbars, phis):
-    """Optimal beta and H of :func:`optimize_qutrit` at every (nbars[k], phis[k]) in one
-    lockstep search. The exact three-level form (:func:`_qutrit_closed_form`) ranks the
-    beta grid in blocks of points at one loss angle, each block keeping points x grid
-    within STACK_BUDGET; one stacked core call per block gives H at the grid points
-    within QUTRIT_TIE_TOL of their row's best, and the others drop out. The
-    golden-section polish then makes one core call per pass over the points still
-    running, at one angle per point, so every reported beta and H is the core's."""
+    """Optimal beta and H of :func:`optimize_qutrit` at every (nbars[k], phis[k]): the beta
+    grid of :func:`_qutrit_closed_form` in blocks within STACK_BUDGET, polished on it in lockstep.
+    H, from one stacked core call, must match it to QUTRIT_AGREEMENT / (sin(phi) cos(phi))^2."""
     nbars = np.asarray(nbars, dtype=float)
     angles = np.array([_as_loss(phi).phi for phi in phis])
     for nbar, phi in zip(nbars, angles):
         if not (0.0 < nbar <= 1.0):
             raise DomainError(f"qutrit optima need nbar in (0, 1], "
                               f"not {nbar:.12g} (phi = {phi:.12g})")
-
     grid = np.linspace(0.0, np.pi / 2, QUTRIT_GRID_POINTS)
-    vals = np.full((nbars.size, grid.size), -np.inf)
     block = max(1, STACK_BUDGET // grid.size)
-    for phi in dict.fromkeys(angles):
-        at = np.flatnonzero(angles == phi)
-        for start in range(0, at.size, block):
-            rows = at[start:start + block]
-            rank = _qutrit_closed_form(nbars[rows, None], grid, phi)
-            row, col = np.nonzero(rank >= rank.max(axis=1, keepdims=True) - QUTRIT_TIE_TOL)
-            vals[rows[row], col] = _qfi_stack(_qutrit_amplitudes(nbars[rows[row]], grid[col]), phi)
-    return _grid_then_polish(lambda rows, beta: _qfi_stack(
-        _qutrit_amplitudes(nbars[rows], beta), angles[rows]), grid, vals, QUTRIT_BETA_TOL)
+    parts = [slice(at, at + block) for at in range(0, nbars.size, block)]
+    vals = np.concatenate([_qutrit_closed_form(nbars[r, None], grid, angles[r, None])
+                           for r in parts])
+    betas, exact = _grid_then_polish(lambda rows, beta: _qutrit_closed_form(
+        nbars[rows], beta, angles[rows]), grid, vals, QUTRIT_BETA_TOL)
+    core = _qfi_stack(_qutrit_amplitudes(nbars, betas), angles)
+    tol = QUTRIT_AGREEMENT / (np.sin(angles) * np.cos(angles)) ** 2
+    for k in np.flatnonzero(~(np.abs(core - exact) <= tol))[:1]:
+        raise ArithmeticError(
+            f"the core's H {core[k]:.15g} and the closed form's {exact[k]:.15g} disagree beyond "
+            f"{tol[k]:.3g} at nbar {nbars[k]:.12g}, beta {betas[k]:.12g}, phi {angles[k]:.12g}")
+    return betas, core
 
 
 def optimize_qutrit(nbar: float, phi) -> OptimizationResult:

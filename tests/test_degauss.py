@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lossqfi import (DomainError, FockVector, coverage_check,
+from lossqfi import (DomainError, FockVector, coverage_check, degauss,
                      displaced_squeezed_vacuum, fidelity, fock_state,
                      mean_photon, photon_subtract, qutrit_coords, region_map,
                      truncate_levels)
@@ -148,6 +148,25 @@ class TestRegionMap:
         assert np.max(np.abs(pts["nbar"] - want[:, 0])) <= 1e-14
         assert np.max(np.abs(pts["beta"] - want[:, 1])) <= 1e-14
 
+    @pytest.mark.parametrize("grids", ["default", "one-row-blocks"])
+    def test_blocks_match_the_row_by_row_lattice(self, grids, default_region):
+        # the lattice one eta row at a time, as the map once built it; a
+        # 9,001-point r grid makes every block a single row
+        region = default_region if grids == "default" else region_map(
+            np.array([0.0, 0.5, 1.0]), np.linspace(-1.0, 1.0, 9001))
+        rows, skipped = [], 0
+        for eta in region.eta_grid:
+            k0, k1, k2 = _subtracted_levels(eta, region.r_grid)
+            norm2 = k0 ** 2 + k1 ** 2 + k2 ** 2
+            skipped += int(np.count_nonzero(norm2 == 0.0))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                nbar = (k1 ** 2 + 2.0 * k2 ** 2) / norm2
+            keep = (norm2 > 0.0) & (nbar <= 1.0)
+            rows += zip([eta] * int(np.count_nonzero(keep)), region.r_grid[keep], nbar[keep],
+                        np.arctan2(np.abs(k1[keep]), np.abs(k2[keep])))
+        assert region.skipped == skipped
+        assert region.points.tobytes() == np.array(rows, dtype=region.points.dtype).tobytes()
+
     def test_default_span_claim(self, default_region):
         # the attainable weight angle nearly fills [0, pi/2] in every energy bin
         pts = default_region.points
@@ -176,6 +195,22 @@ class TestCoverage:
     def test_exception_corner_flagging(self, default_region):
         report = coverage_check([math.pi / 2 - 1e-3], [0.05], default_region)
         assert report.points[0].exception
+
+    def test_window_matches_a_scan_of_the_whole_lattice(self, default_region):
+        def flags(region, phis):
+            report = coverage_check(phis, np.linspace(0.01, 1.0, 40), region)
+            pts = region.points
+            scan = [bool(np.any((np.abs(pts["nbar"] - p.nbar) <= degauss.COVER_DELTA_NBAR)
+                                & (np.abs(pts["beta"] - p.beta_opt) <= degauss.COVER_DELTA_BETA)))
+                    for p in report.points]
+            assert [p.covered for p in report.points] == scan
+            return scan
+
+        # a sparse lattice covers some optima and misses others
+        sparse = flags(region_map(np.linspace(0.0, 2.0, 9), np.linspace(-1.0, 1.0, 9)),
+                       np.linspace(0.05, 1.5, 12))
+        assert 0 < sum(sparse) < len(sparse)
+        flags(default_region, [math.pi / 8, 1.45])
 
     def test_report_passes_when_covered_or_flagged(self, default_region):
         report = coverage_check([math.pi / 8], np.linspace(0.1, 0.9, 5),

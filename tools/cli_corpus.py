@@ -106,6 +106,12 @@ CORPUS = [
     ("optimize-qutrit-phi-max", "optimize --family qutrit --nbar 0.666 --phi 1.5697963267948966"),
     ("sweep-phi-qutrit-ends", "sweep-phi --families qutrit_opt:nbar=0.3 "
                               "--phi 0.001:1.5697963267948966:25"),
+    # the output's smallest eigenvalue pair sums to 8.9e-13, below the core's
+    # support threshold, which drops it (exact 0.00136468051400)
+    ("qfi-qutrit-mask", "qfi qutrit:nbar=0.005,beta=1.4944 --phi 0.2"),
+    # an optimum on the beta = 0 edge of the grid, where the last comparison
+    # of grid point and polish decides whether beta prints as 0
+    ("optimize-qutrit-beta-edge", "optimize --family qutrit --nbar 0.05 --phi pi/16"),
 ]
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
