@@ -118,19 +118,13 @@ def evolve(state, phi) -> DensityOperator:
     return DensityOperator(out)
 
 
-def _loss_generator(m: np.ndarray, phi, adjoint: bool = False) -> np.ndarray:
+def _loss_generator(m: np.ndarray, phi) -> np.ndarray:
     """tan(phi) (2 a m a+ - N m - m N) on a (..., D, D) stack, in the dtype of
-    m, at one loss angle or one per stack element; with ``adjoint`` its
-    adjoint under Tr[X+ Y], tan(phi) (2 a+ m a - N m - m N)."""
+    m, at one loss angle or one per stack element."""
     d = m.shape[-1]
     levels = np.arange(d)
     shifted = np.zeros_like(m)
-    if d > 1:
-        root = np.sqrt(np.outer(levels[1:], levels[1:]))
-        if adjoint:
-            shifted[..., 1:, 1:] = m[..., :-1, :-1] * root
-        else:
-            shifted[..., :-1, :-1] = m[..., 1:, 1:] * root
+    shifted[..., :-1, :-1] = m[..., 1:, 1:] * np.sqrt(np.outer(levels[1:], levels[1:]))
     tan = np.tan(phi)
     return (tan[..., None, None] if tan.ndim else tan) \
         * (2.0 * shifted - levels[:, None] * m - m * levels[None, :])

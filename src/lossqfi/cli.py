@@ -9,6 +9,7 @@ success, 1 on engine or domain errors, 2 on usage or config errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from collections import namedtuple
@@ -290,7 +291,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: a parse leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="lossqfi",
         description="QFI toolkit for loss estimation in bosonic channels")
@@ -352,8 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

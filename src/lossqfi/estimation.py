@@ -70,11 +70,6 @@ class EstimationReport:
                 f"QFI {self.qfi} violates the energy bound {self.ultimate_bound}")
 
 
-def _sld_fock(vecs, sld_eig):
-    """The SLD in the Fock basis from the eigenvectors of rho and the SLD in their frame."""
-    return vecs @ sld_eig @ _dagger(vecs)
-
-
 def _sld_frame(rho, drho, trace):
     """Both QFI routes and the SLD in the eigenframe of rho, over a stack.
 
@@ -172,32 +167,6 @@ def _qfi_stack(amps, phi) -> np.ndarray:
     return out
 
 
-def _qfi_grad_stack(amps, loss: LossParameter):
-    """QFI and its gradient in the amplitudes, for a (B, D) stack of real probes.
-
-    By the SLD variational principle H = max_X 2 Tr[X drho] - Tr[rho X^2],
-    attained at the SLD L, so the envelope theorem gives the gradient at
-    fixed L: dH/dc = 2 sum_n K_n+ G K_n c with G = 2 D+(L) - L^2, where
-    D+(L) = tan(phi) (2 a+ L a - N L - L N) is the adjoint of drho_dphi.
-    K_n c are the Kraus images the core already holds, and
-    K_n+ = (s^n / sqrt(n!)) (a+)^n cos(phi)^N comes from the images of the
-    basis states. Returns (H, gradient); H is :func:`_qfi_stack`'s, from the
-    same stacks of :func:`_stacks`.
-    """
-    amps = np.asarray(amps, dtype=float)
-    phi = _as_loss(loss).phi
-    # kraus[j, i, n] = <i| K_n |j>
-    kraus = _kraus_images(np.eye(amps.shape[-1]), phi)
-    h = np.empty(amps.shape[0])
-    grad = np.empty_like(amps)
-    for rows in _stacks(*amps.shape):
-        h[rows], cols, vecs, sld_eig = _checked_frame(amps[rows], phi)
-        sld_fock = _sld_fock(vecs, sld_eig)
-        g = 2.0 * _loss_generator(sld_fock, phi, adjoint=True) - sld_fock @ sld_fock
-        grad[rows] = 2.0 * np.einsum("bin,jin->bj", g @ cols, kraus)
-    return h, grad
-
-
 def qfi_of_state(state, phi) -> float:
     """Numeric QFI of an already-built pure probe state at loss phi.
 
@@ -218,7 +187,7 @@ def sld(state, phi) -> SLDOperator:
     """
     loss = _as_loss(phi)
     _, _, vecs, sld_eig = _checked_frame(amplitudes_of(state)[None], loss.phi)
-    matrix = _sld_fock(vecs, sld_eig)[0]
+    matrix = (vecs @ sld_eig @ _dagger(vecs))[0]
     return SLDOperator(matrix=matrix, spectrum=hermitian_eig(matrix), phi=loss)
 
 

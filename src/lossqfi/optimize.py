@@ -5,16 +5,17 @@ the Fock basis, so H(psi*) = H(psi): real coefficients are stationary in every p
 direction, and the searches run on the real slice. The qutrit weight angle and the
 Gaussian squeeze fraction (at theta_rel = 0) share one dense-grid plus golden-section
 search that runs any number of points in lockstep; superpositions of the lowest Fock
-levels run a quasi-Newton search with the exact gradient of the QFI over an exact chart
-of the real energy slice from all starts at once. Both make one stacked evaluation per
-pass. Exact forms rank both grids: the purification form of a real qutrit through loss,
-a 3 x 3 solve, on which the qutrit search also polishes, and the phase-space form of a
-Gaussian probe, which shows that no relative squeeze phase beats theta_rel = 0; the
-Gaussian polish runs on the core. Every reported H is the core's. Every candidate
-satisfies the normalization and energy constraints exactly, so no penalty terms are
-involved. Checks on the hot path keep the narrowed search honest: the superposition
-optimum must be a stationary point of the slice and a maximum in the phases, and the
-core must agree with the qutrit form.
+levels run damped Newton steps in a trust region on the real energy slice from all
+starts at once. Both make one stacked evaluation per pass. Both run on the purification
+form of H, 4 min ||C' + C A||^2 over real antisymmetric A, with no eigenproblem of rho:
+for a qutrit a 3 x 3 solve, which ranks the beta grid and polishes on it, and for k + 1
+levels a least-squares problem with an exact gradient and Hessian. The phase-space form
+of a Gaussian probe ranks its grid and shows that no relative squeeze phase beats
+theta_rel = 0; the Gaussian polish runs on the core. Every reported H is the core's.
+Every candidate satisfies the normalization and energy constraints exactly, so no
+penalty terms are involved. Checks on the hot path keep the narrowed search honest: the
+superposition optimum must be a stationary point of the slice on the form's gradient
+and a maximum in the phases, and the core must agree with the qutrit form.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LossParameter, _as_loss
+from .channel import LossParameter, _as_loss, _kraus_images
 from .errors import CutoffOverflowError, DomainError
-from .estimation import (QFI_ROUNDOFF, RANK_EPS, STACK_BUDGET, _qfi_grad_stack,
-                         _qfi_stack, qfi_of_state)
+from .estimation import QFI_ROUNDOFF, RANK_EPS, STACK_BUDGET, _qfi_stack, qfi_of_state
 from .fock import _cut, _gaussian_amplitudes, mean_photon
 from .montecarlo import _rep_rng
 from .probes import (Cat, Gaussian, ProbeSpec, Qutrit, Superposition,
@@ -44,14 +44,13 @@ QUTRIT_BETA_TOL = 1e-6
 # levels, each term 2 drho_qp^2 / s <= 8 s / (sin(phi) cos(phi))^2; the widest gap seen is 1/4 of it
 QUTRIT_AGREEMENT = 32.0 * RANK_EPS
 SUPERPOSITION_STARTS = 32
-SEARCH_MAX_ITER = 300
+SEARCH_MAX_ITER = 100
 # a start stops once the increase its next step promises is below
 # (SEARCH_STOP * roundoff of H)^2 max(1, H): near a maximum that increase is
 # quadratic in the gradient, whose error follows the roundoff of H
 SEARCH_STOP = 100.0
-# largest angle one step may turn either side of the chart by
-SEARCH_MAX_TURN = 0.25
-ARMIJO = 1e-4
+# iterations of the shift that puts a Newton step on the trust region's edge
+TRUST_ITER = 6
 # the stationarity residual may reach this times max(1, H) / sin(phi)^2,
 # which grows like the roundoff of H toward small loss
 STATIONARY_TOL = 1e-7
@@ -251,39 +250,6 @@ def _slice_coords(c: np.ndarray, nbar: float) -> np.ndarray:
     return np.where(gap == 0, c / np.where(norm_lo > 0, norm_lo, 1.0), u)
 
 
-def _tangent(u: np.ndarray, x: np.ndarray, nbar: float):
-    """x without its component along u on each side of the slice, where the
-    chart is constant, and the largest ratio |x_side| / |u_side| of the
-    result: the angle a unit step along it turns u by."""
-    gap = np.arange(u.shape[-1]) - nbar
-    turn = np.zeros(u.shape[:-1])
-    for side in (gap < 0, gap > 0):
-        part = np.where(side, u, 0.0)
-        weight = np.sum(part * part, axis=-1, keepdims=True)
-        weight = np.where(weight > 0, weight, 1.0)
-        x = x - part * np.sum(part * x, axis=-1, keepdims=True) / weight
-        turn = np.maximum(turn, np.sqrt(np.sum(np.where(side, x, 0.0) ** 2, axis=-1)
-                                        / weight[..., 0]))
-    return x, turn
-
-
-def _slice_pullback(u: np.ndarray, nbar: float, coeffs: np.ndarray,
-                    grad: np.ndarray) -> np.ndarray:
-    """dH/du from dH/dc through the chart, at rows u with points ``coeffs``.
-
-    With c = sign v / |v| and v = u / side / root (:func:`_chart_parts`),
-    the gradient in v is (g - c (c.g)) / (sign |v|) = (g - c (c.g)) / (v.c),
-    and the gradient in u is that over side * root, less its component
-    along u on each side, since side = |u_side|. Where a side is empty the
-    chart is singular: those rows get a zero gradient.
-    """
-    v, side, root = _chart_parts(u, nbar)
-    signed_norm = np.sum(v * coeffs, axis=-1, keepdims=True)
-    g_v = (grad - coeffs * np.sum(coeffs * grad, axis=-1, keepdims=True)) \
-        / np.where(signed_norm != 0, signed_norm, 1.0)
-    return _tangent(u, g_v / side / root, nbar)[0]
-
-
 def _canonical_params(spec: Superposition) -> tuple:
     return tuple(round(v, 12) for c in spec.coefficients for v in (c.real, c.imag))
 
@@ -313,90 +279,157 @@ def _warm_starts(kmax: int, nbar: float, loss) -> np.ndarray:
     return np.vstack(rows + [sparse])
 
 
-def _slice_value(u: np.ndarray, nbar: float, loss: LossParameter):
-    """At every row of u: its canonical coordinates (:func:`_slice_coords`
-    of its point), the point, H, dH/dc and dH/du there, from one stacked
-    core call."""
-    coeffs = _slice_point(u, nbar)
-    h, grad = _qfi_grad_stack(coeffs, loss)
-    u = _slice_coords(coeffs, nbar)
-    return u, coeffs, h, grad, _slice_pullback(u, nbar, coeffs, grad)
+def _form_maps(dim: int, phi: float):
+    """The linear maps of the purification form (:func:`_qutrit_closed_form`) on levels
+    0..dim-1 at phi: P with P c = vec C'(c), (dim^2, dim), and the stack Q with
+    Q[alpha] c = vec(C(c) E_alpha), (A, dim^2, dim), for the A = dim (dim - 1) / 2
+    antisymmetric generators E_alpha = e_i e_j^T - e_j e_i^T, i < j."""
+    levels = np.arange(dim)
+    # images[p] = C(e_p); a Kraus image weight cos^m sin^n has d/dphi log = n cot - m tan
+    images = _kraus_images(np.eye(dim), phi)
+    rate = levels / math.tan(phi) - levels[:, None] * math.tan(phi)
+    i, j = np.triu_indices(dim, 1)
+    gens = np.zeros((i.size, dim, dim))
+    gens[np.arange(i.size), i, j], gens[np.arange(i.size), j, i] = 1.0, -1.0
+    rotated = (images[None] @ gens[:, None]).reshape(i.size, dim, dim * dim)
+    return (rate * images).reshape(dim, -1).T, np.swapaxes(rotated, 1, 2)
 
 
-def _ascend(u: np.ndarray, nbar: float, loss: LossParameter):
-    """Maximize H over the chart from every row of u at once (BFGS).
+def _purification_form(coeffs: np.ndarray, p: np.ndarray, q: np.ndarray):
+    """H, dH/dc and the Hessian of every real probe of a (B, D) stack from a least-squares
+    solve, not the output's eigenproblem: H = 4 min_a ||P c + W a||^2, W = [Q_alpha c]
+    (maps of :func:`_form_maps`).
 
-    Each pass makes one stacked core call holding one trial point per
-    running start, so the starts share the call overhead but never each
-    other's numbers. Points are kept in canonical coordinates and steps
-    tangent to them, so the two directions along which the chart is
-    constant never stretch the search, and no step turns either side of
-    the chart by more than SEARCH_MAX_TURN. A trial is taken on sufficient
-    increase (Armijo) or, where H cannot rank the two points, when the
-    slope along the step has not turned (see below); otherwise its step
-    shrinks by a safeguarded quadratic fit. A start stops once the increase
-    its next step promises is below (SEARCH_STOP * roundoff of H)^2
-    max(1, H), or after SEARCH_MAX_ITER passes. Starts where the chart is
-    singular (a Fock state |nbar>) have a zero gradient and never move.
-    Returns the final coefficients, H, dH/dc, and whether each start
-    stopped before SEARCH_MAX_ITER passes.
+    With a = -(W^T W)^+ W^T P c from the SVD of W (directions below eps D^2 of its
+    largest singular value dropped, as least squares does), the residual r and
+    M = P + sum a_alpha Q_alpha, the envelope theorem gives dH/dc = 8 M^T r, and
+    eliminating a gives the Hessian 8 M^T M - 8 X (W^T W)^+ X^T, with the columns
+    X_alpha = Q_alpha^T r + M^T W_alpha.
     """
-    n = u.shape[-1]
-    u, coeffs, h, grad, slope = _slice_value(u, nbar, loss)
-    inverse = np.broadcast_to(np.eye(n), (h.size, n, n)).copy()
-    fresh = np.ones(h.size, dtype=bool)
-    direction, step = np.zeros_like(u), np.zeros(h.size)
+    (count, dim), gens, size = coeffs.shape, q.shape[0], p.size
+    pc = (coeffs[:, None, :] @ p.T)[:, 0]
+    w = np.swapaxes((coeffs[:, None, :] @ q.reshape(gens * dim * dim, dim).T)[:, 0].reshape(
+        count, gens, dim * dim), 1, 2)
+    try:
+        u, s, vt = np.linalg.svd(w, full_matrices=False)
+    except np.linalg.LinAlgError:  # LAPACK's divide and conquer can fail on a cluster of
+        # tiny singular values (seen near a Fock state); W^T then goes instead
+        right, s, left = np.linalg.svd(np.swapaxes(w, 1, 2), full_matrices=False)
+        u, vt = np.swapaxes(left, 1, 2), np.swapaxes(right, 1, 2)
+    keep = s > np.finfo(float).eps * dim * dim * s[:, :1]
+    inverse = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+    proj = np.where(keep, (pc[:, None, :] @ u)[:, 0], 0.0)
+    r = pc - (u @ proj[..., None])[..., 0]
+    a = -(np.swapaxes(vt, 1, 2) @ (inverse * proj)[..., None])[..., 0]
+    m = p + (a[:, None, :] @ q.reshape(gens, size))[:, 0].reshape(count, dim * dim, dim)
+    mt = np.swapaxes(m, 1, 2)
+    x = (r[:, None, :] @ q.transpose(1, 2, 0).reshape(dim * dim, dim * gens))[:, 0].reshape(
+        count, dim, gens)
+    y = (x + mt @ w) @ np.swapaxes(vt, 1, 2) * inverse[:, None, :]
+    return (4.0 * np.sum(r * r, axis=-1), 8.0 * (mt @ r[..., None])[..., 0],
+            8.0 * (mt @ m - y @ np.swapaxes(y, 1, 2)))
+
+
+def _newton_step(coeffs, grad, hess, radius, nbar: float):
+    """A damped Newton step from every row of real coefficients on the energy slice.
+
+    On the tangent space of span{c, N c} the model is the gradient and the Hessian of
+    the Lagrangian, Hess - lam0 I - lam1 N, with g = lam0 c + lam1 N c fitted by least
+    squares. Where the reduced Hessian is negative definite and its Newton step lies
+    within ``radius``, that step is taken; otherwise the spectrum is shifted by the
+    mu >= max(top, 0) that puts the step on the radius, from Newton's method on
+    1 / |step(mu)|, which rises from the left (More and Sorensen). The step is
+    corrected along span{c, N c} so that both constraints hold to second order, and
+    :func:`_slice_point` puts it on the slice. Returns the points, the gains the model
+    promises, whether the reduced Hessian is negative definite, and the step lengths.
+    """
+    levels = np.arange(coeffs.shape[-1])
+    normal = np.stack([coeffs, levels * coeffs], axis=-1)
+    (g00, g01), (_, g11) = np.moveaxis(np.swapaxes(normal, 1, 2) @ normal, 0, -1)
+    # the pseudo-inverse of [c, N c] from the adjugate of its Gram matrix, whose
+    # determinant is |c|^2 times the spread of N, summed free of cancellation, and the
+    # tangent space as the unit eigenspace of the projector off [c, N c]; eigh alone
+    # leaves the code pages of further LAPACK routines out of the resident memory
+    det = g00 * np.sum((levels - (g01 / g00)[:, None]) ** 2 * coeffs ** 2, axis=-1)
+    adjugate = np.moveaxis(np.array([[g11, -g01], [-g01, g00]]) / det, -1, 0)
+    fit = adjugate @ np.swapaxes(normal, 1, 2)
+    tangent = np.linalg.eigh(np.eye(levels.size) - normal @ fit)[1][..., 2:]
+    lam = (fit @ grad[..., None])[..., 0]
+    lagrangian = hess - lam[:, :1, None] * np.eye(levels.size) - lam[:, 1:, None] * np.diag(levels)
+    theta, vecs = np.linalg.eigh(np.swapaxes(tangent, 1, 2) @ lagrangian @ tangent)
+    slope = (grad[:, None, :] @ tangent @ vecs)[:, 0]
+    negdef = theta[:, -1] < 0
+    # from mu = 0, or from where the top direction alone reaches the radius
+    shift = np.where(negdef, 0.0, theta[:, -1] + np.abs(slope[:, -1]) / radius)
+    for _ in range(TRUST_ITER + 1):
+        gap = shift[:, None] - theta
+        coef = slope / np.where(gap > 0, gap, np.inf)
+        length = np.linalg.norm(coef, axis=-1)
+        curve = np.sum(coef * coef / np.where(gap > 0, gap, np.inf), axis=-1)
+        outside = length > radius
+        shift[outside] += ((length / radius - 1.0) * length ** 2)[outside] / curve[outside]
+    coef *= np.minimum(1.0, radius / np.where(outside, length, radius))[:, None]
+    gain = np.sum(coef * (slope + 0.5 * theta * coef), axis=-1)
+    move = (tangent @ vecs @ coef[..., None])[..., 0]
+    bend = np.stack([np.sum(move * move, axis=-1), np.sum(levels * move * move, axis=-1)], -1)
+    move -= 0.5 * (np.swapaxes(fit, 1, 2) @ bend[..., None])[..., 0]
+    trial = _slice_point(_slice_coords(coeffs + move, nbar), nbar)
+    return trial, gain, negdef, np.linalg.norm(coef, axis=-1)
+
+
+def _newton_ascent(u: np.ndarray, nbar: float, loss: LossParameter):
+    """Maximize H over the real energy slice from every row of u at once, on the
+    purification form (:func:`_purification_form`) by damped Newton steps
+    (:func:`_newton_step`) in a trust region.
+
+    Each pass makes one stacked call of the form holding one trial point per running
+    start, so the starts share the call overhead but never each other's numbers. A
+    trial is taken where H rises: then the region doubles if the model predicted the
+    rise well and the step reached the region's edge. Otherwise the region shrinks
+    to a quarter of the step. A start stops once the gain its next step promises is
+    below (SEARCH_STOP * roundoff of H)^2 max(1, H), or after SEARCH_MAX_ITER passes.
+    Where the reduced Hessian is negative definite, a Newton step that promises
+    less than H can resolve is taken unranked, as long as each such promise is at
+    most half the last: once it stops falling, it is the gradient's roundoff, and
+    the start stops. A Fock state |nbar> (to roundoff), where the slice is
+    singular, and a slice of two levels, which is a point, never move. Returns the
+    final coefficients, dH/dc and whether each start stopped before SEARCH_MAX_ITER
+    passes.
+    """
+    coeffs = _slice_point(u, nbar)
+    maps = _form_maps(coeffs.shape[-1], loss.phi)
+    h, grad, hess = _purification_form(coeffs, *maps)
+    radius = np.full(h.size, 0.5)
     roundoff = QFI_ROUNDOFF / math.sin(loss.phi) ** 2
-
-    def aim(rows):
-        direction[rows], turn = _tangent(
-            u[rows], np.einsum("bij,bj->bi", inverse[rows], slope[rows]), nbar)
-        step[rows] = SEARCH_MAX_TURN / np.maximum(turn, SEARCH_MAX_TURN)
-
-    def promising(rows):
-        return (step[rows] * np.sum(slope[rows] * direction[rows], axis=-1)
-                > (SEARCH_STOP * roundoff) ** 2 * np.maximum(1.0, h[rows]))
-
-    aim(np.arange(h.size))
-    running = promising(np.arange(h.size))
+    levels = np.arange(coeffs.shape[-1])
+    spread = np.sum((levels - np.sum(levels * coeffs ** 2, axis=-1)[:, None]) ** 2 * coeffs ** 2,
+                    axis=-1)
+    running = (spread > np.finfo(float).eps ** 2) & (levels.size > 2)
+    # the gain promised by each start's last step if it was taken unranked, else inf
+    unranked = np.full(h.size, np.inf)
     for _ in range(SEARCH_MAX_ITER):
         idx = np.flatnonzero(running)
         if idx.size == 0:
             break
-        rate = np.sum(slope[idx] * direction[idx], axis=-1)
-        gain = step[idx] * rate
-        u_t, c_t, h_t, grad_t, slope_t = _slice_value(
-            u[idx] + step[idx, None] * direction[idx], nbar, loss)
-        # where H cannot rank the two points, the slopes can: a slope along
-        # the step above -rate/2 at the trial means, in a quadratic model, an
-        # increase of at least gain/4
-        still = np.sum(slope_t * direction[idx], axis=-1) >= -0.5 * rate
-        ok = (h_t >= h[idx] + ARMIJO * gain) | (
-            (h_t >= h[idx] - roundoff * np.maximum(1.0, h[idx])) & still)
-        # rejected: shrink toward the maximum of the quadratic through the
-        # two values and the slope, kept within [1/10, 1/2] of the step
-        rej = idx[~ok]
-        curve = h_t[~ok] - h[rej] - gain[~ok]
-        step[rej] *= np.clip(-0.5 * gain[~ok] / np.where(curve < 0, curve, -np.inf), 0.1, 0.5)
-        # taken: BFGS update of the inverse Hessian of -H, scaled at the
-        # first update and skipped unless the step saw positive curvature
+        trial, gain, negdef, length = _newton_step(
+            coeffs[idx], grad[idx], hess[idx], radius[idx], nbar)
+        resolution = roundoff * np.maximum(1.0, h[idx])
+        blind = negdef & (gain <= resolution)
+        go = (gain > SEARCH_STOP ** 2 * roundoff * resolution) & ~(
+            blind & (gain > 0.5 * unranked[idx]))
+        running[idx[~go]] = False
+        idx, trial, gain, blind, length = idx[go], trial[go], gain[go], blind[go], length[go]
+        if idx.size == 0:
+            break
+        h_t, grad_t, hess_t = _purification_form(trial, *maps)
+        ok = (h_t > h[idx]) | blind
+        unranked[idx] = np.where(blind, gain, np.inf)
+        grow = ok & ((h_t - h[idx]) > 0.75 * gain) & (length > 0.9 * radius[idx])
+        radius[idx] = np.where(grow, np.minimum(2.0 * radius[idx], 1.0),
+                               np.where(ok, radius[idx], 0.25 * length))
         acc = idx[ok]
-        s_k = u_t[ok] - u[acc]
-        y_k = slope[acc] - slope_t[ok]
-        ys = np.sum(y_k * s_k, axis=-1)
-        upd = ys > 1e-12 * np.linalg.norm(y_k, axis=-1) * np.linalg.norm(s_k, axis=-1)
-        first = upd & fresh[acc]
-        inverse[acc[first]] *= (ys[first] / np.sum(y_k[first] ** 2, axis=-1))[:, None, None]
-        fresh[acc[first]] = False
-        s_k, y_k, rho = s_k[upd, :, None], y_k[upd, None, :], 1.0 / ys[upd, None, None]
-        left = np.eye(n) - rho * s_k * y_k
-        inverse[acc[upd]] = (left @ inverse[acc[upd]] @ np.swapaxes(left, 1, 2)
-                             + rho * s_k * np.swapaxes(s_k, 1, 2))
-        u[acc], coeffs[acc], h[acc], grad[acc], slope[acc] = \
-            u_t[ok], c_t[ok], h_t[ok], grad_t[ok], slope_t[ok]
-        aim(acc)
-        running[idx] = promising(idx)
-    return coeffs, h, grad, ~running
+        coeffs[acc], h[acc], grad[acc], hess[acc] = trial[ok], h_t[ok], grad_t[ok], hess_t[ok]
+    return coeffs, grad, ~running
 
 
 def _stationary_residual(coeffs: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -448,16 +481,16 @@ def optimize_superposition(kmax: int, nbar: float, phi, seed: int = 0,
                            starts: int = SUPERPOSITION_STARTS) -> OptimizationResult:
     """Best superposition of levels 0..kmax at fixed energy.
 
-    Runs a quasi-Newton ascent with the exact gradient on real coefficients
-    through the exact chart of the energy slice (:func:`_slice_point`), from
-    all starts at once: the deterministic warm points containing the
-    lower-order optima (:func:`_warm_starts`), then seeded random points up
-    to ``starts`` in total. Among the starts within 1e-9 in QFI of the
-    highest, those that end at a stationary point of the slice
-    (:func:`_stationary_residual`) compete, ties breaking toward the
-    smallest serialized coefficient vector; when none does, the search
-    raises. The optimum must also be a phase maximum
-    (:func:`_check_phase_maximum`); both certificates are local.
+    Runs a trust-region Newton ascent on the purification form of H over real
+    coefficients of the energy slice (:func:`_newton_ascent`), from all starts
+    at once: the deterministic warm points containing the lower-order optima
+    (:func:`_warm_starts`), then seeded random points up to ``starts`` in
+    total. One stacked core call gives H at every final start. Among the
+    starts within 1e-9 in QFI of the highest, those that end at a stationary
+    point of the slice on the form's exact gradient (:func:`_stationary_residual`)
+    compete, ties breaking toward the smallest serialized coefficient vector;
+    when none does, the search raises. The optimum must also be a phase
+    maximum (:func:`_check_phase_maximum`); both certificates are local.
     """
     if kmax < 1 or kmax > 8:
         raise DomainError("superposition order must lie in 1..8")
@@ -467,7 +500,8 @@ def optimize_superposition(kmax: int, nbar: float, phi, seed: int = 0,
     initial = [_slice_coords(_warm_starts(kmax, nbar, loss), nbar)]
     initial += [_rep_rng(seed, restart).normal(size=(1, kmax + 1))
                 for restart in range(max(starts - len(initial[0]), 0))]
-    coeffs, h, grad, converged = _ascend(np.vstack(initial), nbar, loss)
+    coeffs, grad, converged = _newton_ascent(np.vstack(initial), nbar, loss)
+    h = _qfi_stack(coeffs, loss.phi)
     residual = _stationary_residual(coeffs, grad)
     stationary = residual <= STATIONARY_TOL / math.sin(loss.phi) ** 2 * np.maximum(1.0, h)
     # the starts tied with the highest one are ranked by the certificate

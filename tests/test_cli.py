@@ -342,6 +342,36 @@ class TestOptions:
         assert "--" not in err
 
 
+class TestRepeatedCalls:
+    def test_calls_in_one_process_print_what_fresh_processes_print(self, capsys):
+        # the parser is built once per process: a config error (exit 2), a usage
+        # error (argparse exits 2) and a repeated command must leave the next
+        # call's output as a fresh interpreter prints it
+        commands = [
+            ("sweep-phi", "--families", "qutrit_opt", "--phi", "0.2:1:3"),
+            ("qfi", "fock:n=2", "--phi", "0.6"),
+            ("optimize", "--family", "nosuch", "--nbar", "0.5", "--phi", "0.6"),
+            ("optimize", "--family", "qutrit", "--nbar", "0.5", "--phi", "0.6"),
+            ("qfi", "fock:n=2", "--phi", "0.6"),
+        ]
+        src = str(Path(lossqfi.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        fresh = []
+        for argv in commands[:4]:
+            done = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from lossqfi.cli import main; sys.exit(main(sys.argv[1:]))",
+                 *argv], env=env, capture_output=True, text=True, timeout=300)
+            fresh.append((done.returncode, done.stdout, done.stderr))
+        assert [code for code, _, _ in fresh] == [2, 0, 2, 0]
+        for argv, expected in zip(commands, fresh + fresh[1:2]):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            assert (code, *capsys.readouterr()) == expected
+
+
 class TestImports:
     def test_the_cli_runs_without_scipy(self):
         # the package runs on numpy alone: neither the import nor a command

@@ -160,7 +160,7 @@ class TestQFI:
         with pytest.raises(DomainError, match="must be finite"):
             estimation._qfi_stack(amps, LossParameter(0.7))
         with pytest.raises(DomainError, match="must be finite"):
-            estimation._qfi_grad_stack(amps, LossParameter(0.7))
+            estimation._checked_frame(amps, 0.7)
 
     def test_core_checks_the_angles_of_a_stack(self):
         # one angle per probe: the count must match, and the first angle

@@ -284,15 +284,61 @@ class TestOptimizeSuperposition:
         (5, 0.05, 1.1191, 0.1639035637845178),
     ])
     def test_optimum_is_chosen_among_stationary_starts(self, kmax, nbar, phi, uncertified):
-        # the start with the highest H (or the tie-break among near-equal
-        # ones) is not stationary at these points; a stationary start holds
-        # the same H within the 1e-9 tie
+        # at these points the core's support mask moves the core's gradient, on
+        # which the start with the highest H is not stationary; the reported
+        # optimum holds the same H within the 1e-9 tie and is stationary on the
+        # form's exact gradient
         res = optimize_superposition(kmax, nbar, phi, seed=0)
         assert abs(res.best_qfi - uncertified) <= optimize.TIE_TOL
         coeffs = np.array(res.best_params["coefficients"]).real
-        grad = optimize._qfi_grad_stack(coeffs[None], LossParameter(phi))[1]
+        grad = optimize._purification_form(coeffs[None], *optimize._form_maps(kmax + 1, phi))[1]
         residual = optimize._stationary_residual(coeffs[None], grad)[0]
         assert residual <= optimize.STATIONARY_TOL / math.sin(phi) ** 2
+
+    @pytest.mark.parametrize("nbar,phi,optimum", [
+        (1.2673, 0.3989, 4.87235850041),
+        (1.7455, 0.3271, 6.91224844332),
+    ])
+    def test_seeded_starts_decide_these_optima(self, nbar, phi, optimum):
+        # from its warm starts alone (starts=4) the search ends at 4.86656484131
+        # and 6.88215941276: only the seeded starts reach these optima
+        assert optimize_superposition(3, nbar, phi, seed=0).best_qfi == pytest.approx(
+            optimum, rel=1e-10)
+
+    @pytest.mark.parametrize("starts", [8, optimize.SUPERPOSITION_STARTS])
+    def test_every_start_stops_before_the_cap(self, monkeypatch, starts):
+        # at small loss and low energy, where a search can crawl, every start
+        # stops before the cap
+        search = optimize._newton_ascent
+        stopped = []
+
+        def recorded(*args):
+            out = search(*args)
+            stopped.append(out[2])
+            return out
+
+        monkeypatch.setattr(optimize, "_newton_ascent", recorded)
+        res = optimize_superposition(3, 0.3, 0.05, seed=0, starts=starts)
+        assert res.converged
+        assert stopped[0].shape == (starts,) and stopped[0].all()
+
+    def test_a_stack_lapack_cannot_decompose_goes_through_its_transpose(self, monkeypatch):
+        # LAPACK's divide and conquer failed on the form's W near |1> (kmax 7, nbar 1,
+        # phi pi/4); planted here, the transposed W gives the same H, gradient and Hessian
+        coeffs = np.random.default_rng(5).normal(size=(3, 4))
+        coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+        maps = optimize._form_maps(4, 0.7)
+        expected = optimize._purification_form(coeffs, *maps)
+        svd = np.linalg.svd
+
+        def failing(a, full_matrices=True):
+            if a.shape[-2:] == (16, 6):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, full_matrices=full_matrices)
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        for got, want in zip(optimize._purification_form(coeffs, *maps), expected):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_single_level_is_qubit(self):
         # kmax = 1 leaves no magnitude freedom at fixed energy

@@ -112,6 +112,17 @@ CORPUS = [
     # an optimum on the beta = 0 edge of the grid, where the last comparison
     # of grid point and polish decides whether beta prints as 0
     ("optimize-qutrit-beta-edge", "optimize --family qutrit --nbar 0.05 --phi pi/16"),
+    # k = 3 optima that only the seeded starts reach: from the warm starts
+    # alone the search ends at 4.86656484131 and 6.88215941276
+    ("optimize-superposition-seeded", "optimize --family superposition --kmax 3 "
+                                      "--nbar 1.2673 --phi 0.3989"),
+    ("optimize-superposition-seeded-2", "optimize --family superposition --kmax 3 "
+                                        "--nbar 1.7455 --phi 0.3271"),
+    # two wrong answers of the core's support mask: a near-vacuum qubit at
+    # heavy loss (exact 0.000399999519275) and a qutrit optimum below
+    # nbar = 1e-6 (exact 3.99999200001e-12)
+    ("qfi-qubit-mask", "qfi qubit:nbar=0.0001 --phi 1.5697"),
+    ("optimize-qutrit-vacuum", "optimize --family qutrit --nbar 1e-12 --phi 0.001"),
 ]
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
