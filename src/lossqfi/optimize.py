@@ -5,9 +5,10 @@ the Fock basis, so H(psi*) = H(psi): real coefficients are stationary in every p
 direction, and the searches run on the real slice. The qutrit weight angle and the
 Gaussian squeeze fraction (at theta_rel = 0) share one dense-grid plus golden-section
 search that runs any number of points in lockstep; superpositions of the lowest Fock
-levels run damped Newton steps in a trust region on the real energy slice from all
-starts at once. Both make one stacked evaluation per pass. Both run on the purification
-form of H, 4 min ||C' + C A||^2 over real antisymmetric A, with no eigenproblem of rho:
+levels run damped Newton steps in a trust region on their coefficients from all starts
+at once, with one map that puts every start and every step on the real energy slice.
+Both make one stacked evaluation per pass. Both run on the purification form of H, 4 min
+||C' + C A||^2 over real antisymmetric A, with no eigenproblem of rho:
 for a qutrit a 3 x 3 solve, which ranks the beta grid and polishes on it, and for k + 1
 levels a least-squares problem with an exact gradient and Hessian. The phase-space form
 of a Gaussian probe ranks its grid and shows that no relative squeeze phase beats
@@ -203,80 +204,49 @@ def optimize_qutrit(nbar: float, phi) -> OptimizationResult:
 # superpositions of the lowest Fock levels
 
 
-def _row_norm(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm along the last axis, scaled so tiny entries cannot underflow."""
-    top = np.max(np.abs(x), axis=-1)
-    safe = np.where(top > 0, top, 1.0)[..., None]
-    return top * np.sqrt(np.sum((x / safe) ** 2, axis=-1))
+def _to_slice(x: np.ndarray, nbar: float) -> np.ndarray:
+    """The point of the energy slice sum c_n^2 = 1, sum n c_n^2 = nbar that each row
+    of a real (..., k+1) stack x maps to.
 
-
-def _chart_parts(u: np.ndarray, nbar: float):
-    """The chart's unnormalized point v = u / side / root per row of u, with
-    side = |u_side| on both sides of the slice (infinite where a side is
-    empty, which drops it) and root = sqrt|n - nbar|, both 1 on a level
-    n = nbar."""
-    gap = np.arange(u.shape[-1]) - nbar
-    lo, hi = gap < 0, gap > 0
-    norm_lo = _row_norm(np.where(lo, u, 0.0))[..., None]
-    norm_hi = _row_norm(np.where(hi, u, 0.0))[..., None]
-    regular = (norm_lo > 0) & (norm_hi > 0)
-    side = np.where(lo, norm_lo, np.where(hi, norm_hi, 1.0))
-    side = np.where(regular | (gap == 0), side, np.inf)
-    root = np.where(gap == 0, 1.0, np.sqrt(np.abs(gap)))
-    return u / side / root, side, root
-
-
-def _slice_point(u: np.ndarray, nbar: float) -> np.ndarray:
-    """Real coefficients with sum c_n^2 = 1 and sum n c_n^2 = nbar, for every
-    row of a (..., k+1) stack u.
-
-    Levels below nbar become u_n / (|u_lo| sqrt(nbar - n)), levels above it
-    u_n / (|u_hi| sqrt(n - nbar)), so sum (n - nbar) c_n^2 = 0; a level
-    n = nbar keeps u_n. If either side vanishes only that level is left (a
-    zero row if it is absent). The first nonzero coefficient is positive.
+    The levels at or below nbar are scaled by the norm of x_n sqrt(n - nbar) over the
+    levels above it, and those by the same norm over the levels below, so
+    sum (n - nbar) c_n^2 = 0 and a slice point stays where it is. Each side is first
+    divided by its largest entry, and its entries below sqrt(tiny) / eps of that, whose
+    squares vanish beside its own, become 0: every square below is then a normal float,
+    and a second pass keeps every entry. Where either side holds only zeros, only a
+    level n = nbar is left (a zero row if absent). The first nonzero coefficient is positive.
     """
-    v = _chart_parts(u, nbar)[0]
-    norm = _row_norm(v)[..., None]
-    lead = np.take_along_axis(v, np.argmax(v != 0, axis=-1)[..., None], axis=-1)
-    return v * np.sign(lead) / np.where(norm > 0, norm, 1.0)
-
-
-def _slice_coords(c: np.ndarray, nbar: float) -> np.ndarray:
-    """Inverse of :func:`_slice_point`: u_n = c_n sqrt|n - nbar|, and
-    c_n / |u_lo| on a level n = nbar, which keeps its share of the weight."""
-    gap = np.arange(c.shape[-1]) - nbar
-    u = c * np.sqrt(np.abs(gap))
-    norm_lo = _row_norm(np.where(gap < 0, u, 0.0))[..., None]
-    return np.where(gap == 0, c / np.where(norm_lo > 0, norm_lo, 1.0), u)
-
-
-def _canonical_params(spec: Superposition) -> tuple:
-    return tuple(round(v, 12) for c in spec.coefficients for v in (c.real, c.imag))
+    gap = np.arange(x.shape[-1]) - nbar
+    above = gap > 0
+    top = np.where(above, np.max(np.abs(np.where(above, x, 0.0)), axis=-1, keepdims=True),
+                   np.max(np.abs(np.where(above, 0.0, x)), axis=-1, keepdims=True))
+    x = x / np.where(top > 0, top, 1.0)
+    x = np.where(np.abs(x) >= math.sqrt(np.finfo(float).tiny) / np.finfo(float).eps, x, 0.0)
+    weight = x * x * np.abs(gap)
+    norm_lo = np.sqrt(np.sum(np.where(gap < 0, weight, 0.0), axis=-1, keepdims=True))
+    norm_hi = np.sqrt(np.sum(np.where(above, weight, 0.0), axis=-1, keepdims=True))
+    y = x * np.where(above, norm_lo, np.where((gap < 0) | (norm_hi > 0), norm_hi, 1.0))
+    norm = np.sqrt(np.sum(y * y, axis=-1, keepdims=True))
+    c = y / np.where(norm > 0, norm, 1.0)
+    return c * np.sign(np.take_along_axis(c, np.argmax(c != 0, axis=-1)[..., None], axis=-1))
 
 
 def _warm_starts(kmax: int, nbar: float, loss) -> np.ndarray:
-    """Deterministic starting coefficients: the two-level interpolation
-    between neighboring Fock states, the embedded qutrit optimum (energies
-    up to 1), and the sparse states sqrt(1 - nbar/j)|0> - sqrt(nbar/j)|j>
-    for every level j >= nbar, which hold the optima at small loss. The
-    sparse state at j = 1 or j = nbar is the two-level one. All are feasible
-    for every kmax, so the search always dominates the lower-order families
+    """Deterministic start directions, which :func:`_to_slice` puts on the slice: the
+    two-level interpolation |low> - |low+1> between neighboring Fock states, the
+    embedded qutrit optimum (energies up to 1), and |0> - |j> for every level
+    j > nbar from 2 up, on the slice sqrt(1 - nbar/j)|0> - sqrt(nbar/j)|j>, which
+    hold the optima at small loss (at j = 1 it is the two-level start). All are
+    feasible for every kmax, so the search always dominates the lower-order families
     it contains.
     """
+    eye = np.eye(kmax + 1)
     low = min(int(math.floor(nbar)), kmax - 1)
-    two_level = np.zeros(kmax + 1)
-    two_level[low] = math.sqrt(1.0 - (nbar - low))
-    two_level[low + 1] = -math.sqrt(nbar - low)
-    rows = [two_level]
+    rows = [eye[low] - eye[low + 1]]
     if kmax >= 2 and nbar <= 1.0:
         beta = optimize_qutrit(nbar, loss).best_params["beta"]
-        rows.append(np.zeros(kmax + 1))
-        rows[-1][:3] = _qutrit_amplitudes(nbar, beta)
-    levels = np.arange(max(2, math.floor(nbar) + 1), kmax + 1)
-    sparse = np.zeros((levels.size, kmax + 1))
-    sparse[:, 0] = np.sqrt(1.0 - nbar / levels)
-    sparse[np.arange(levels.size), levels] = -np.sqrt(nbar / levels)
-    return np.vstack(rows + [sparse])
+        rows.append(np.pad(_qutrit_amplitudes(nbar, beta), (0, kmax - 2)))
+    return np.vstack(rows + [eye[0] - eye[max(2, math.floor(nbar) + 1):]])
 
 
 def _form_maps(dim: int, phi: float):
@@ -340,7 +310,7 @@ def _newton_step(coeffs, grad, hess, radius, nbar: float):
     mu >= max(top, 0) that puts the step on the radius, from Newton's method on
     1 / |step(mu)|, which rises from the left (More and Sorensen). The step is
     corrected along span{c, N c} so that both constraints hold to second order, and
-    :func:`_slice_point` puts it on the slice. Returns the points, the gains the model
+    :func:`_to_slice` puts it on the slice. Returns the points, the gains the model
     promises, whether the reduced Hessian is negative definite, and the step lengths.
     """
     levels = np.arange(coeffs.shape[-1])
@@ -373,14 +343,15 @@ def _newton_step(coeffs, grad, hess, radius, nbar: float):
     move = (tangent @ vecs @ coef[..., None])[..., 0]
     bend = np.stack([np.sum(move * move, axis=-1), np.sum(levels * move * move, axis=-1)], -1)
     move -= 0.5 * (np.swapaxes(fit, 1, 2) @ bend[..., None])[..., 0]
-    trial = _slice_point(_slice_coords(coeffs + move, nbar), nbar)
+    trial = _to_slice(coeffs + move, nbar)
     return trial, gain, negdef, np.linalg.norm(coef, axis=-1)
 
 
-def _newton_ascent(u: np.ndarray, nbar: float, loss: LossParameter):
-    """Maximize H over the real energy slice from every row of u at once, on the
-    purification form (:func:`_purification_form`) by damped Newton steps
-    (:func:`_newton_step`) in a trust region.
+def _newton_ascent(starts: np.ndarray, nbar: float, loss: LossParameter):
+    """Maximize H over the real energy slice from every row of ``starts`` at once,
+    each put on the slice by :func:`_to_slice`, on the purification form
+    (:func:`_purification_form`) by damped Newton steps (:func:`_newton_step`) in a
+    trust region.
 
     Each pass makes one stacked call of the form holding one trial point per running
     start, so the starts share the call overhead but never each other's numbers. A
@@ -396,7 +367,7 @@ def _newton_ascent(u: np.ndarray, nbar: float, loss: LossParameter):
     final coefficients, dH/dc and whether each start stopped before SEARCH_MAX_ITER
     passes.
     """
-    coeffs = _slice_point(u, nbar)
+    coeffs = _to_slice(starts, nbar)
     maps = _form_maps(coeffs.shape[-1], loss.phi)
     h, grad, hess = _purification_form(coeffs, *maps)
     radius = np.full(h.size, 0.5)
@@ -483,37 +454,37 @@ def optimize_superposition(kmax: int, nbar: float, phi, seed: int = 0,
 
     Runs a trust-region Newton ascent on the purification form of H over real
     coefficients of the energy slice (:func:`_newton_ascent`), from all starts
-    at once: the deterministic warm points containing the lower-order optima
-    (:func:`_warm_starts`), then seeded random points up to ``starts`` in
-    total. One stacked core call gives H at every final start. Among the
-    starts within 1e-9 in QFI of the highest, those that end at a stationary
+    at once: the deterministic warm directions containing the lower-order optima
+    (:func:`_warm_starts`), then seeded random directions up to ``starts`` in
+    total, u_n / sqrt|n - nbar| for standard normal u (u_n itself on a level
+    n = nbar), so that c_n sqrt|n - nbar| points in a uniform direction on each
+    side of nbar. One stacked core call gives H at every final start. Among the
+    starts within TIE_TOL in QFI of the highest, those that end at a stationary
     point of the slice on the form's exact gradient (:func:`_stationary_residual`)
-    compete, ties breaking toward the smallest serialized coefficient vector;
-    when none does, the search raises. The optimum must also be a phase
-    maximum (:func:`_check_phase_maximum`); both certificates are local.
+    compete, and the smallest serialized coefficient vector wins; when none does,
+    the highest start is checked, and the search raises. The optimum must also be
+    a phase maximum (:func:`_check_phase_maximum`); both certificates are local.
     """
     if kmax < 1 or kmax > 8:
         raise DomainError("superposition order must lie in 1..8")
     if not (0.0 < nbar <= kmax):
         raise DomainError(f"energy {nbar} infeasible for levels up to {kmax}")
     loss = _as_loss(phi)
-    initial = [_slice_coords(_warm_starts(kmax, nbar, loss), nbar)]
-    initial += [_rep_rng(seed, restart).normal(size=(1, kmax + 1))
-                for restart in range(max(starts - len(initial[0]), 0))]
-    coeffs, grad, converged = _newton_ascent(np.vstack(initial), nbar, loss)
+    warm = _warm_starts(kmax, nbar, loss)
+    gap = np.abs(np.arange(kmax + 1) - nbar)
+    root = np.where(gap > 0, np.sqrt(gap), 1.0)
+    seeded = [_rep_rng(seed, restart).normal(size=(1, kmax + 1)) / root
+              for restart in range(max(starts - len(warm), 0))]
+    coeffs, grad, converged = _newton_ascent(np.vstack([warm] + seeded), nbar, loss)
     h = _qfi_stack(coeffs, loss.phi)
     residual = _stationary_residual(coeffs, grad)
     stationary = residual <= STATIONARY_TOL / math.sin(loss.phi) ** 2 * np.maximum(1.0, h)
-    # the starts tied with the highest one are ranked by the certificate
-    certified = np.flatnonzero(stationary & (h >= h.max() - TIE_TOL))
-    best = None
-    for i in certified if certified.size else range(h.size):
-        spec = Superposition(coeffs[i])
-        key = _canonical_params(spec)
-        if best is None or h[i] > h[best[0]] + TIE_TOL or (
-                abs(h[i] - h[best[0]]) <= TIE_TOL and key < best[2]):
-            best = (i, spec, key)
-    i, spec, _ = best
+    # the certified starts within TIE_TOL of the highest all tie with each other, and
+    # the smallest serialized coefficients win
+    tied = np.flatnonzero(stationary & (h >= h.max() - TIE_TOL))
+    i = min(tied, key=lambda i: [round(v, 12) for c in Superposition(coeffs[i]).coefficients
+                                 for v in (c.real, c.imag)]) if tied.size else int(np.argmax(h))
+    spec = Superposition(coeffs[i])
     _check_phase_maximum(coeffs[i], h[i], loss)
     if not stationary[i]:
         raise ArithmeticError(f"the real optimum H = {h[i]} is not stationary on the "

@@ -1,6 +1,6 @@
 """Property tests of the stacked QFI core, the purification form with its
-gradient and Hessian, the real-slice chart and the search that runs on
-them, and of the constructions that use the log-factorial table: the
+gradient and Hessian, the map onto the real energy slice and the search that
+runs on them, and of the constructions that use the log-factorial table: the
 closed-form Kraus images (and their
 phi derivative, whose squared norm is the energy) and the mixed-state
 channel, with the coherent amplitudes and their measured cutoff.
@@ -46,7 +46,7 @@ from lossqfi.channel import _kraus_images, evolve  # noqa: E402
 from lossqfi.estimation import RANK_EPS, STACK_BUDGET, _qfi_stack  # noqa: E402
 from lossqfi.fock import (MAX_LEVELS, TAIL_TOL, DensityOperator, FockVector,  # noqa: E402
                           coherent_state)
-from lossqfi.optimize import _slice_coords, _slice_point  # noqa: E402
+from lossqfi.optimize import _to_slice  # noqa: E402
 
 
 def reference_state(psi: np.ndarray, phi: float):
@@ -147,7 +147,7 @@ def test_phase_rotation_and_conjugation_keep_the_qfi(stack, theta):
 
 
 @st.composite
-def chart_points(draw):
+def slice_map_inputs(draw):
     kmax = draw(st.integers(1, 8))
     u = draw(hnp.arrays(float, kmax + 1,
                         elements=st.floats(-1.0, 1.0, allow_nan=False)))
@@ -157,15 +157,15 @@ def chart_points(draw):
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
-@given(chart_points())
-def test_slice_chart_lands_on_the_slice_and_inverts(point):
-    u, nbar = point
-    c = _slice_point(u, nbar)
+@given(slice_map_inputs())
+def test_slice_map_lands_on_the_slice_and_keeps_its_points(point):
+    x, nbar = point
+    c = _to_slice(x, nbar)
     hypothesis.assume(np.any(c))
     assert abs(np.sum(c ** 2) - 1.0) <= 1e-12
     assert abs(np.sum(np.arange(c.size) * c ** 2) - nbar) <= 1e-12
     assert c[np.flatnonzero(c)[0]] > 0
-    assert np.max(np.abs(_slice_point(_slice_coords(c, nbar), nbar) - c)) <= 1e-12
+    assert np.max(np.abs(_to_slice(c, nbar) - c)) <= 1e-12
 
 
 @st.composite
@@ -223,9 +223,9 @@ def test_a_start_ends_where_it_would_alone():
     for i in (0, 5):
         alone = optimize._newton_ascent(u[i:i + 1], nbar, loss)[0]
         assert np.array_equal(alone[0], together[i])
-    # the stacked chart is the row-by-row chart
-    rows = np.array([_slice_point(row, nbar) for row in u])
-    assert np.array_equal(rows, _slice_point(u, nbar))
+    # the stacked map onto the slice is the row-by-row map
+    rows = np.array([_to_slice(row, nbar) for row in u])
+    assert np.array_equal(rows, _to_slice(u, nbar))
 
 
 def _relative(x, reference):

@@ -7,7 +7,7 @@ from lossqfi import (CutoffOverflowError, DomainError, Gaussian, LossParameter, 
                      closed_form_qfi, mean_photon,
                      optimize_gaussian, optimize_qutrit,
                      optimize_superposition, build_probe, qfi_of_state)
-from lossqfi import fock, optimize
+from lossqfi import fock, montecarlo, optimize
 from lossqfi.channel import PHI_MIN
 from lossqfi.probes import _qutrit_amplitudes
 
@@ -305,6 +305,54 @@ class TestOptimizeSuperposition:
         assert optimize_superposition(3, nbar, phi, seed=0).best_qfi == pytest.approx(
             optimum, rel=1e-10)
 
+    @pytest.mark.parametrize("kmax", range(1, 9))
+    def test_warm_starts_land_on_the_two_level_and_sparse_rows(self, kmax):
+        # the warm directions |low> - |low+1>, the qutrit optimum and |0> - |j>
+        # land on sqrt(1 - (nbar - low))|low> - sqrt(nbar - low)|low+1>, the
+        # qutrit itself and sqrt(1 - nbar/j)|0> - sqrt(nbar/j)|j> (j > nbar,
+        # j >= 2), each with its first nonzero coefficient positive
+        loss = LossParameter(0.7)
+        for nbar in (1e-12, 0.05, 0.5, 1.0, 1.5, 2.0, 2.7, float(kmax)):
+            if nbar > kmax:
+                continue
+            low = min(math.floor(nbar), kmax - 1)
+            rows = [np.zeros(kmax + 1)]
+            rows[0][low], rows[0][low + 1] = math.sqrt(1.0 - (nbar - low)), -math.sqrt(nbar - low)
+            if kmax >= 2 and nbar <= 1.0:
+                rows.append(np.zeros(kmax + 1))
+                rows[-1][:3] = _qutrit_amplitudes(
+                    nbar, optimize_qutrit(nbar, loss).best_params["beta"])
+            for j in range(max(2, math.floor(nbar) + 1), kmax + 1):
+                rows.append(np.zeros(kmax + 1))
+                rows[-1][0], rows[-1][j] = math.sqrt(1.0 - nbar / j), -math.sqrt(nbar / j)
+            expected = np.array([row * np.sign(row[np.flatnonzero(row)[0]]) for row in rows])
+            got = optimize._to_slice(optimize._warm_starts(kmax, nbar, loss), nbar)
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) <= 1e-15
+
+    @pytest.mark.parametrize("kmax,nbar", [(3, 0.6), (5, 2.7)])
+    def test_seeded_starts_are_uniform_on_each_side(self, monkeypatch, kmax, nbar):
+        # a seeded start u (standard normal) lands on c_n = u_n / (|u_side| sqrt|n - nbar|)
+        # up to one norm, where u_side holds u over the levels on n's side of nbar
+        search = optimize._newton_ascent
+        seen = []
+
+        def recorded(starts, *args):
+            seen.append(starts)
+            return search(starts, *args)
+
+        monkeypatch.setattr(optimize, "_newton_ascent", recorded)
+        optimize_superposition(kmax, nbar, 0.7, seed=4, starts=12)
+        warm = len(optimize._warm_starts(kmax, nbar, LossParameter(0.7)))
+        got = optimize._to_slice(seen[0][warm:], nbar)
+        gap = np.arange(kmax + 1) - nbar
+        for restart, row in enumerate(got):
+            u = montecarlo._rep_rng(4, restart).normal(size=kmax + 1)
+            side = np.where(gap < 0, np.linalg.norm(u[gap < 0]), np.linalg.norm(u[gap > 0]))
+            c = u / (side * np.sqrt(np.abs(gap)))
+            c *= np.sign(c[0]) / np.linalg.norm(c)
+            assert np.max(np.abs(row - c)) <= 1e-15
+
     @pytest.mark.parametrize("starts", [8, optimize.SUPERPOSITION_STARTS])
     def test_every_start_stops_before_the_cap(self, monkeypatch, starts):
         # at small loss and low energy, where a search can crawl, every start
@@ -385,11 +433,11 @@ class TestOptimizeSuperposition:
         assert res.best_qfi > closed_form_qfi("coherent", {"nbar": 1.7}, 0.6)
 
     def test_phase_check_catches_a_non_maximum(self, monkeypatch):
-        # planted violation: a chart that returns the qutrit with all
-        # coefficients positive for every start, where the phases sit at a
+        # planted violation: a map onto the slice that returns the qutrit with
+        # all coefficients positive for every start, where the phases sit at a
         # minimum
         point = np.abs(_qutrit_amplitudes(0.5, 0.6))
-        monkeypatch.setattr(optimize, "_slice_point", lambda u, nbar: np.zeros_like(u) + point)
+        monkeypatch.setattr(optimize, "_to_slice", lambda x, nbar: np.zeros_like(x) + point)
         with pytest.raises(ArithmeticError, match="not a phase maximum"):
             optimize_superposition(2, 0.5, 0.7, seed=0, starts=3)
 

@@ -123,6 +123,13 @@ CORPUS = [
     # nbar = 1e-6 (exact 3.99999200001e-12)
     ("qfi-qubit-mask", "qfi qubit:nbar=0.0001 --phi 1.5697"),
     ("optimize-qutrit-vacuum", "optimize --family qutrit --nbar 1e-12 --phi 0.001"),
+    # the superposition search at the two ends of the loss domain: at the upper end
+    # it exits 1, not stationary (a residual of 2.8e-6, where the reduced Hessian is
+    # not negative definite); at the lower end it stops 1.9e-7 below a higher optimum
+    ("optimize-superposition-phi-max", "optimize --family superposition --kmax 4 --nbar 1.5 "
+                                       "--phi 1.5697963267948967"),
+    ("optimize-superposition-phi-min", "optimize --family superposition --kmax 3 --nbar 0.001 "
+                                       "--phi 0.001"),
 ]
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
